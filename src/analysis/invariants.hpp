@@ -8,8 +8,10 @@
 //   I  =  NC ∧ ST ∧ E — the program invariant (Theorem 1: the program
 //        stabilizes to I).
 //
-// These are used by tests (closure/convergence properties) and by the
-// stabilization experiments (steps-to-I measurements).
+// holds_nc/holds_st/holds_invariant on a bare system run one flat, fail-fast
+// pass over the CSR (the oracle of every steps-to-I measurement). The
+// ShallowContext overloads, which the per-process vectors always use, are the
+// independent Orientation + DFS reference.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,7 @@ namespace diners::analysis {
 [[nodiscard]] std::vector<bool> stably_shallow_processes(
     const core::DinersSystem& system);
 
-/// ST: every process is stably shallow.
+/// ST: every process is stably shallow (iff every live one is shallow).
 [[nodiscard]] bool holds_st(const core::DinersSystem& system);
 
 /// E: no two live-or-half-live neighbors eat simultaneously — for each edge,
@@ -53,11 +55,9 @@ namespace diners::analysis {
 [[nodiscard]] std::size_t eating_violation_count(
     const core::DinersSystem& system);
 
-/// Precomputed per-state data shared by the shallowness predicates. The
-/// naive entry points above rebuild the priority orientation, the
-/// descendant lists, and the longest-live-ancestor-chain table on every
-/// call (holds_invariant rebuilds the orientation three times over); a
-/// ShallowContext computes each once and the overloads below reuse them.
+/// Precomputed per-state data for the reference predicates: the priority
+/// orientation, descendant lists and longest-live-ancestor-chain table. It
+/// shares no code with the flat pass, so that each can check the other.
 ///
 /// Validity: the context depends only on the priority orientation and the
 /// alive set. state/depth/needs writes do NOT invalidate it; any priority
@@ -92,9 +92,9 @@ class ShallowContext {
   std::vector<std::uint32_t> chain_;
 };
 
-/// Context overloads: identical results to the same-named naive entry
-/// points (a property test pins this), without re-deriving the orientation
-/// or chain per call.
+/// Context overloads: the reference predicates. holds_nc/holds_st/
+/// holds_invariant agree with the flat entry points (a differential test
+/// battery pins this).
 [[nodiscard]] bool holds_nc(const core::DinersSystem& system,
                             const ShallowContext& ctx);
 [[nodiscard]] std::vector<bool> shallow_processes(

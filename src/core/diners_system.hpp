@@ -86,6 +86,12 @@ class DinersSystem final : public PhilosopherProgram {
   /// iteration order as topology().neighbors()/incident_edges().
   [[nodiscard]] const graph::CsrView& csr() const noexcept { return csr_; }
 
+  /// priority(p, q) by edge id, unchecked, for loops over csr().edge_ids().
+  /// Precondition: e < topology().num_edges().
+  [[nodiscard]] ProcessId edge_priority(graph::EdgeId e) const noexcept {
+    return priority_[e];
+  }
+
   /// All five guards of `p` in one neighborhood scan, as a bitmask indexed
   /// by Action (bit a set iff enabled(p, a)). Does NOT consult alive(p) —
   /// like enabled(), guards are a function of the state only; the engine

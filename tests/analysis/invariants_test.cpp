@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/figure2.hpp"
 #include "fault/injector.hpp"
 #include "graph/generators.hpp"
 #include "runtime/engine.hpp"
 #include "util/rng.hpp"
+#include "verify/canonical.hpp"
 
 namespace diners::analysis {
 namespace {
@@ -116,6 +119,25 @@ TEST(ST, FixdepthDisabledDisjunctCounts) {
   EXPECT_TRUE(shallow[1]);
 }
 
+TEST(ST, DepthNearInt64MaxDoesNotWrapTheShallowTest) {
+  // A replay file may write any int64 depth. Process 1's dead descendant 0
+  // holds INT64_MAX, so SH:1 fails: INT64_MAX > D - l:1 and INT64_MAX >=
+  // depth:1. Written as depth:q + l:p <= D and depth:q + 1 <= depth:p, both
+  // tests overflow, and both oracle paths used to report that I holds.
+  core::DinersConfig cfg;
+  cfg.diameter_override = 3;
+  DinersSystem s(graph::make_ring(4), cfg);
+  s.set_priority(0, 1, 1);
+  s.set_depth(0, std::numeric_limits<std::int64_t>::max());
+  s.crash(0);
+  EXPECT_FALSE(shallow_processes(s)[1]);
+  EXPECT_FALSE(holds_st(s));
+  EXPECT_FALSE(holds_invariant(s));
+  const ShallowContext ctx(s);
+  EXPECT_FALSE(holds_st(s, ctx));
+  EXPECT_FALSE(holds_invariant(s, ctx));
+}
+
 TEST(Invariant, InitialTreeStateSatisfiesI) {
   DinersSystem s(graph::make_path(6));
   EXPECT_TRUE(holds_invariant(s));
@@ -197,26 +219,155 @@ TEST(Invariant, ClosedUnderEveryDaemon) {
   }
 }
 
+// Which conjuncts of I failed across a differential battery, so that a
+// battery cannot pass by never reaching one of the flat pass's exits.
+struct Verdicts {
+  int holds = 0;
+  int nc_fails = 0;
+  int only_st_fails_with_no_live_process_deeper_than_d = 0;
+  int only_e_fails = 0;
+};
+
+// The flat entry points against the ShallowContext reference on one state,
+// plus the equivalence the flat pass rests on: ST iff every live process
+// is shallow.
+::testing::AssertionResult flat_matches_reference(const DinersSystem& s,
+                                                  Verdicts& v) {
+  const ShallowContext ctx(s);
+  const bool nc = holds_nc(s, ctx);
+  const bool st = holds_st(s, ctx);
+  const bool e = holds_e(s);
+  const bool inv = holds_invariant(s, ctx);
+  const auto shallow = shallow_processes(s, ctx);
+  const auto d = static_cast<std::int64_t>(s.diameter_constant());
+  bool every_live_shallow = true;
+  bool none_too_deep = true;
+  for (P p = 0; p < s.topology().num_nodes(); ++p) {
+    if (!s.alive(p)) continue;
+    every_live_shallow = every_live_shallow && shallow[p];
+    none_too_deep = none_too_deep && s.depth(p) <= d;
+  }
+  if (holds_nc(s) != nc || holds_st(s) != st || holds_invariant(s) != inv ||
+      every_live_shallow != st || inv != (nc && st && e)) {
+    return ::testing::AssertionFailure()
+           << "reference NC/ST/E/I = " << nc << st << e << inv << ", flat = "
+           << holds_nc(s) << holds_st(s) << holds_invariant(s)
+           << ", every live process shallow = " << every_live_shallow;
+  }
+  v.holds += inv;
+  v.nc_fails += !nc;
+  v.only_st_fails_with_no_live_process_deeper_than_d +=
+      nc && !st && e && none_too_deep;
+  v.only_e_fails += nc && st && !e;
+  return ::testing::AssertionSuccess();
+}
+
 TEST(ShallowContext, MatchesTheNaivePredicatesOnCorruptedStates) {
-  // Differential test for the memoized path: on random graphs and random
-  // corrupted states (including crashes), every context overload agrees
-  // with its naive counterpart.
+  // Differential battery: the flat entry points against the reference on
+  // eight topologies, random dead sets, corrupted depths within D plus a
+  // slack of 0, 1 or 8, and states part-way back to I under a random daemon.
+  constexpr std::int64_t kDepthSlacks[] = {0, 1, 8};
   util::Xoshiro256 rng(21);
-  for (int round = 0; round < 8; ++round) {
-    DinersSystem s(graph::make_connected_gnp(7, 0.35, 100 + round));
-    ShallowContext ctx(s);
-    for (int trial = 0; trial < 25; ++trial) {
-      fault::corrupt_global_state(s, rng);
-      if (trial == 10) s.crash(static_cast<P>(round % 7));
-      ctx.refresh(s);  // priorities (and possibly alive) changed
-      EXPECT_EQ(holds_nc(s, ctx), holds_nc(s));
-      EXPECT_EQ(shallow_processes(s, ctx), shallow_processes(s));
-      EXPECT_EQ(stably_shallow_processes(s, ctx),
-                stably_shallow_processes(s));
-      EXPECT_EQ(holds_st(s, ctx), holds_st(s));
-      EXPECT_EQ(holds_invariant(s, ctx), holds_invariant(s));
+  Verdicts v;
+  for (const char* topology : {"ring", "grid", "star", "complete", "wheel",
+                               "path", "gnp", "figure2"}) {
+    for (int round = 0; round < 6; ++round) {
+      DinersSystem s(graph::make_named(topology, 8, 100 + round, 0.35));
+      for (P p = 0; p < s.topology().num_nodes(); ++p) {
+        if (rng.chance(0.2)) s.crash(p);
+      }
+      fault::CorruptionOptions corruption;
+      corruption.depth_slack = kDepthSlacks[round % 3];
+      for (int trial = 0; trial < 25; ++trial) {
+        fault::corrupt_global_state(s, rng, corruption);
+        ASSERT_TRUE(flat_matches_reference(s, v)) << topology << " " << round;
+        sim::Engine engine(s, sim::make_daemon("random", rng.next()), 64);
+        for (int burst = 0; burst < 4 && engine.run(8).steps_executed > 0;
+             ++burst) {
+          ASSERT_TRUE(flat_matches_reference(s, v))
+              << topology << " " << round << " after " << burst << " bursts";
+        }
+      }
     }
   }
+  EXPECT_GT(v.holds, 0);
+  EXPECT_GT(v.nc_fails, 0);
+  EXPECT_GT(v.only_st_fails_with_no_live_process_deeper_than_d, 0);
+  EXPECT_GT(v.only_e_fails, 0);
+}
+
+TEST(ShallowContext, MatchesTheFlatPassWhenExactlyOneConjunctFails) {
+  Verdicts v;
+  {
+    // A live cycle with every depth <= D: the pre-scan passes, and no
+    // process of the cycle ever pops. (Any live cycle also breaks ST.)
+    DinersSystem s(graph::make_ring(4));
+    for (P p = 0; p < 4; ++p) s.set_priority(p, (p + 1) % 4, p);
+    EXPECT_FALSE(holds_nc(s));
+    EXPECT_FALSE(holds_st(s));
+    EXPECT_TRUE(holds_e(s));
+    EXPECT_TRUE(flat_matches_reference(s, v));
+  }
+  {
+    // Only ST fails, and only by a chain: 0 -> 1 -> 2 -> 3 with D = 3,
+    // l:2 = 3 and depth:3 = 2 > D - l:2, while no depth exceeds D.
+    DinersSystem s(graph::make_path(4));
+    s.set_depth(3, 2);
+    EXPECT_TRUE(holds_nc(s));
+    EXPECT_FALSE(holds_st(s));
+    EXPECT_FALSE(shallow_processes(s)[2]);
+    EXPECT_TRUE(flat_matches_reference(s, v));
+  }
+  {
+    // Only E fails: two live neighbors eat in the legitimate orientation.
+    DinersSystem s(graph::make_path(4));
+    s.set_state(1, DinerState::kEating);
+    s.set_state(2, DinerState::kEating);
+    EXPECT_TRUE(holds_nc(s));
+    EXPECT_TRUE(holds_st(s));
+    EXPECT_FALSE(holds_invariant(s));
+    EXPECT_TRUE(flat_matches_reference(s, v));
+  }
+  EXPECT_EQ(v.nc_fails, 1);
+  EXPECT_EQ(v.only_st_fails_with_no_live_process_deeper_than_d, 1);
+  EXPECT_EQ(v.only_e_fails, 1);
+}
+
+TEST(ShallowContext, MatchesTheFlatPassWhenEveryProcessIsDead) {
+  // No live process: NC, ST and E hold vacuously, whatever the corpses hold.
+  util::Xoshiro256 rng(5);
+  DinersSystem s(graph::make_wheel(6));
+  for (P p = 0; p < 6; ++p) s.crash(p);
+  Verdicts v;
+  for (int trial = 0; trial < 20; ++trial) {
+    fault::corrupt_global_state(s, rng);
+    ASSERT_TRUE(flat_matches_reference(s, v));
+  }
+  EXPECT_EQ(v.holds, 20);
+}
+
+TEST(ShallowContext, MatchesTheFlatPassAcrossTheRing4Box) {
+  // A fixed stride through the arbitrary-start box of the V1 ring-4
+  // instance (sound threshold D = 3, depths 0..4, 810,000 keys), healthy
+  // and with process 0 crashed.
+  core::DinersConfig cfg;
+  cfg.diameter_override = 3;
+  DinersSystem healthy(graph::make_ring(4), cfg);
+  DinersSystem crashed(graph::make_ring(4), cfg);
+  crashed.crash(0);
+  const verify::StateCodec codec(healthy.topology(), 0, 4);
+  ASSERT_EQ(codec.domain_size(), 810000u);
+  Verdicts v;
+  for (std::uint64_t i = 0; i < codec.domain_size(); i += 7) {
+    for (DinersSystem* s : {&healthy, &crashed}) {
+      codec.decode(codec.domain_key(i), *s);
+      ASSERT_TRUE(flat_matches_reference(*s, v)) << "key " << i;
+    }
+  }
+  EXPECT_GT(v.holds, 0);
+  EXPECT_GT(v.nc_fails, 0);
+  EXPECT_GT(v.only_st_fails_with_no_live_process_deeper_than_d, 0);
+  EXPECT_GT(v.only_e_fails, 0);
 }
 
 TEST(ShallowContext, SurvivesStateAndDepthWritesWithoutRefresh) {

@@ -379,9 +379,14 @@ void collect_service(BenchReport& report, const fs::path& tools_dir,
 /// Records wall seconds for the whole trial — construction, stepping, and
 /// the periodic invariant checks — because that is the number a user of
 /// `diners_sim` at n=10^6 actually waits for. steps-to-I and peak RSS ride
-/// along as params; the trial must CONVERGE to count as a perf sample.
+/// along as params; the trial must CONVERGE, at exactly the pinned step
+/// count, to count as a perf sample.
 void collect_campaign(BenchReport& report, const fs::path& tools_dir,
                       const fs::path& workdir) {
+  // Seed 1 reaches I at interval 45 of 65,536 steps (BENCH_10.json). Any
+  // other count means the stepping or the invariant oracle changed its
+  // answer, and the timing would not be a sample of the same run.
+  constexpr std::uint64_t kStepsToI = 2'949'120;
   const fs::path out = workdir / "e1_n1m.json";
   run_checked(shq((tools_dir / "diners_sim").string()) +
               " --engine=flat --topology=ring --n=1048576"
@@ -394,6 +399,13 @@ void collect_campaign(BenchReport& report, const fs::path& tools_dir,
   }
   if (doc.at("converged").as_number() != doc.at("trials").as_number()) {
     throw DriverError("e1 campaign did not converge; not a perf sample");
+  }
+  const auto steps_to_i =
+      static_cast<std::uint64_t>(doc.at("steps_to_i").at("mean").as_number());
+  if (steps_to_i != kStepsToI) {
+    throw DriverError("e1 campaign reached I after " +
+                      std::to_string(steps_to_i) + " steps, not " +
+                      std::to_string(kStepsToI) + "; not a perf sample");
   }
   BenchMetric m;
   m.name = "engine.e1.n1M.seconds";
@@ -409,8 +421,7 @@ void collect_campaign(BenchReport& report, const fs::path& tools_dir,
               {"threshold", "524288"},
               {"check_every", "65536"},
               {"seed", "1"},
-              {"steps_to_i", std::to_string(static_cast<std::uint64_t>(
-                                 doc.at("steps_to_i").at("mean").as_number()))},
+              {"steps_to_i", std::to_string(steps_to_i)},
               {"max_rss_bytes", u64_param("max_rss_bytes")}};
   report.metrics.push_back(std::move(m));
 }
