@@ -116,13 +116,12 @@ TrialOutput run_scenario_trial(const ScenarioOptions& scenario,
 
   if (scenario.warmup_steps > 0) harness.run(scenario.warmup_steps);
 
+  // Always measured: with a zero budget this checks the start state alone.
   TrialOutput out;
-  if (scenario.max_steps > 0) {
-    const auto steps = steps_until_invariant(harness, scenario.max_steps,
-                                             scenario.check_every);
-    out.converged = steps.has_value();
-    out.primary = steps ? static_cast<double>(*steps) : 0.0;
-  }
+  const auto steps = steps_until_invariant(harness, scenario.max_steps,
+                                           scenario.check_every);
+  out.converged = steps.has_value();
+  out.primary = steps ? static_cast<double>(*steps) : 0.0;
 
   if (scenario.window_steps > 0) {
     const StarvationReport report =

@@ -30,7 +30,8 @@ namespace diners::analysis {
 
 /// What one trial reports back for merging.
 struct TrialOutput {
-  /// False when the trial's convergence phase timed out.
+  /// False when the trial's convergence phase timed out (run_scenario_trial
+  /// always measures it; a custom TrialFn that does not keeps the default).
   bool converged = true;
   /// The trial's primary metric (steps to the invariant I, unless the
   /// trial function measures something else).
@@ -124,7 +125,8 @@ struct ScenarioOptions {
   /// Steps to run before the convergence phase (reach steady state first,
   /// e.g. for post-crash recovery measurements).
   std::uint64_t warmup_steps = 0;
-  /// Convergence-phase budget; 0 skips the phase (primary stays 0).
+  /// Convergence-phase budget; 0 checks the start state only (converged
+  /// iff it satisfies I, primary 0).
   std::uint64_t max_steps = 500000;
   std::uint64_t check_every = 16;
   /// Starvation window measured after the convergence phase; 0 = none.

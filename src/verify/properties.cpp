@@ -1,21 +1,19 @@
 #include "verify/properties.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
+#include <bit>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "analysis/invariants.hpp"
-#include "graph/algorithms.hpp"
 
 namespace diners::verify {
 
 namespace {
 
 using core::DinersSystem;
-
-constexpr std::uint32_t kNoMove = static_cast<std::uint32_t>(-1);
+using Arc = StateGraph::Arc;
 
 /// The check_* oracles reason about *every* reachable behavior; a graph
 /// truncated at Options::max_states has unexpanded states whose outgoing
@@ -41,354 +39,273 @@ constexpr std::uint64_t join_bits() noexcept {
 }
 constexpr std::uint64_t kJoinBits = join_bits();
 
-struct FairCycle {
-  std::uint32_t entry;
-  std::vector<StateGraph::Arc> cycle;
-  std::size_t scc_size;
-};
-
-/// Shortest cycle through `entry` using intra-SCC arcs (comp[x] == id,
-/// move != excluded). Precondition: such a cycle exists (the SCC has an
-/// intra-arc and is strongly connected).
-std::vector<StateGraph::Arc> shortest_cycle(
-    const StateGraph& g, const std::vector<std::uint32_t>& comp,
-    std::uint32_t id, std::uint32_t excluded_move, std::uint32_t entry) {
-  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
-  // BFS from entry; parent arc per reached member.
-  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, StateGraph::Arc>>
-      parent;  // node -> (predecessor, arc into node)
-  std::deque<std::uint32_t> queue{entry};
-  std::uint32_t closing_from = kUnset;
-  StateGraph::Arc closing_arc{};
-  while (!queue.empty() && closing_from == kUnset) {
-    const std::uint32_t u = queue.front();
-    queue.pop_front();
-    for (const auto& arc : g.arcs_of(u)) {
-      if (arc.move == excluded_move || comp[arc.to] != id) continue;
-      if (arc.to == entry) {
-        closing_from = u;
-        closing_arc = arc;
-        break;
-      }
-      if (arc.to != entry && !parent.contains(arc.to)) {
-        parent.emplace(arc.to, std::make_pair(u, arc));
-        queue.push_back(arc.to);
-      }
-    }
-  }
-  std::vector<StateGraph::Arc> cycle;
-  cycle.push_back(closing_arc);
-  for (std::uint32_t v = closing_from; v != entry;) {
-    const auto& [pred, arc] = parent.at(v);
-    cycle.push_back(arc);
-    v = pred;
-  }
-  std::reverse(cycle.begin(), cycle.end());
-  return cycle;
-}
-
-/// Iterative Tarjan over the subgraph induced by `in_set` minus
-/// `excluded_move` arcs; returns the first weakly-fair-feasible SCC found
-/// (see properties.hpp for the exactness argument).
-std::optional<FairCycle> find_fair_cycle(const StateGraph& g,
-                                         const std::vector<std::uint8_t>& in_set,
-                                         std::uint32_t excluded_move) {
-  const std::uint32_t n = g.num_states();
-  std::vector<std::uint32_t> idx(n, kNoIndex), low(n, 0), comp(n, kNoIndex);
-  std::vector<std::uint8_t> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  std::uint32_t counter = 0, comp_counter = 0;
-
-  struct Frame {
-    std::uint32_t node;
-    std::uint32_t arc;
-  };
-  std::vector<Frame> dfs;
-
-  const auto allowed = [&](const StateGraph::Arc& arc) {
-    return arc.move != excluded_move && in_set[arc.to] != 0;
-  };
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (in_set[root] == 0 || idx[root] != kNoIndex) continue;
-    idx[root] = low[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = 1;
-    dfs.push_back({root, g.succ_begin[root]});
-
-    while (!dfs.empty()) {
-      const std::uint32_t u = dfs.back().node;
-      if (dfs.back().arc < g.succ_begin[u + 1]) {
-        const StateGraph::Arc arc = g.succ[dfs.back().arc++];
-        if (!allowed(arc)) continue;
-        if (idx[arc.to] == kNoIndex) {
-          idx[arc.to] = low[arc.to] = counter++;
-          stack.push_back(arc.to);
-          on_stack[arc.to] = 1;
-          dfs.push_back({arc.to, g.succ_begin[arc.to]});
-        } else if (on_stack[arc.to]) {
-          low[u] = std::min(low[u], idx[arc.to]);
-        }
-        continue;
-      }
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        low[dfs.back().node] = std::min(low[dfs.back().node], low[u]);
-      }
-      if (low[u] != idx[u]) continue;
-
-      // u is an SCC root: pop the members and test fairness feasibility.
-      const std::uint32_t id = comp_counter++;
-      std::vector<std::uint32_t> members;
-      for (;;) {
-        const std::uint32_t w = stack.back();
-        stack.pop_back();
-        on_stack[w] = 0;
-        comp[w] = id;
-        members.push_back(w);
-        if (w == u) break;
-      }
-      std::uint64_t always = ~std::uint64_t{0};
-      std::uint64_t executed = 0;
-      bool has_arc = false;
-      for (std::uint32_t m : members) {
-        always &= g.enabled[m];
-        for (const auto& arc : g.arcs_of(m)) {
-          if (!allowed(arc) || comp[arc.to] != id) continue;
-          has_arc = true;
-          executed |= std::uint64_t{1} << arc.move;
-        }
-      }
-      always &= ~kJoinBits;
-      if (!has_arc || (always & ~executed) != 0) continue;
-
-      const std::uint32_t entry =
-          *std::min_element(members.begin(), members.end());
-      return FairCycle{entry,
-                       shortest_cycle(g, comp, id, excluded_move, entry),
-                       members.size()};
-    }
-  }
-  return std::nullopt;
-}
-
 bool terminal(const StateGraph& g, std::uint32_t i) {
   return g.succ_begin[i + 1] == g.succ_begin[i];
 }
 
-// ---- group-product fairness search for symmetry-reduced graphs -----------
+// ---- weak-fairness SCC search over the group product ---------------------
 //
 // A quotient graph (g.sym non-null) stores one representative per orbit;
 // fairness is NOT symmetric state-by-state (an SCC of representatives mixes
-// frames), so the SCC analysis runs on the *product* of the quotient with
-// the group: product node (s, h) stands for the concrete state
-// A_{h^{-1}}(rep(s)). Quotient arc (s -> t, move m, witness w) lifts to
+// frames), so the SCC analysis runs on the *product* of the graph with its
+// group: product node (s, h) stands for the concrete state
+// A_{h^{-1}}(rep(s)). Arc (s -> t, move m, witness w) lifts to
 // (s, h) -> (t, w∘h) executing the concrete move (h^{-1}(proc(m)), act(m)),
 // and the concrete enabled mask at (s, h) is enabled[s] permuted by h^{-1}.
 // This product is exactly the concrete transition graph over the orbit
-// closure of the seed set, so find_fair_cycle's exactness argument applies
-// verbatim. Any closed product cycle has witness product == identity
-// (closure at a fixed frame forces it), so the returned rep-frame arc cycle
-// closes concretely from *any* start frame — counterexample lifting needs
-// no frame alignment.
+// closure of the seed set, so the exactness argument of properties.hpp
+// applies verbatim; an unreduced graph is the |G| = 1 case. Any closed
+// product cycle has witness product == identity (closure at a fixed frame
+// forces it), so the returned rep-frame arc cycle closes concretely from
+// *any* start frame — counterexample lifting needs no frame alignment.
+//
+// Nodes are dense: (s, h) is slot rank[s] * |G| + h over the live states.
+// On a reduced graph a quotient-SCC prefilter first drops most of them
+// (DESIGN.md §10): every product arc projects onto a quotient arc between
+// states of a frame-free superset of the bad set, so every product cycle
+// lies over one quotient SCC of that superset with an intra-arc, and states
+// outside such SCCs never enter the product.
 
-struct ProductQuery {
-  const StateGraph& g;
-  /// Frame-independent bad set (bad[s] covers every frame), or null.
-  const std::vector<std::uint8_t>* sym_bad = nullptr;
-  /// Starvation mode: per-state bitmask of hungry processes + the tracked
-  /// process; node (s, h) is bad iff rep process h(tracked) is hungry.
-  const std::vector<std::uint16_t>* hungry = nullptr;
-  std::optional<sim::ProcessId> tracked;
-};
-
-std::optional<FairCycle> find_fair_cycle_product(const ProductQuery& q) {
-  const StateGraph& g = q.g;
-  const SymmetryGroup& grp = *g.sym;
-  const auto G = static_cast<std::uint32_t>(grp.size());
-  const std::uint32_t n = g.num_states();
-
-  const auto in_set = [&](std::uint32_t s, std::uint16_t h) {
-    if (q.sym_bad != nullptr) return (*q.sym_bad)[s] != 0;
-    return (((*q.hungry)[s] >> grp.apply_node(h, *q.tracked)) & 1) != 0;
-  };
-  const auto excluded = [&](std::uint16_t move, std::uint16_t h) {
-    return q.tracked &&
-           move_action(move) == DinersSystem::kEnter &&
-           move_process(move) == grp.apply_node(h, *q.tracked);
+class Product {
+ public:
+  struct Scc {
+    std::span<const std::uint32_t> members;
+    std::uint32_t id;
+    bool cyclic;  ///< has an intra-arc
+    bool fair;    ///< cyclic, and every always-enabled action is executed
   };
 
-  // Dense product-node ids, allocated on first touch (the product is
-  // sparse: only bad nodes and their intra-bad arcs are walked).
-  KeyIndex ids;
-  std::vector<std::uint64_t> node;  ///< dense -> s * G + h
-  std::vector<std::uint32_t> idx, low, comp;
-  std::vector<std::uint8_t> on_stack;
-  const auto dense_of = [&](std::uint64_t nid) {
-    Key pk;
-    pk.lo = nid;
-    const auto [v, inserted] =
-        ids.insert(pk, static_cast<std::uint32_t>(node.size()));
-    if (inserted) {
-      node.push_back(nid);
-      idx.push_back(kNoIndex);
-      low.push_back(0);
-      comp.push_back(kNoIndex);
-      on_stack.push_back(0);
+  /// The product of `g` with `grp` (the trivial group when null) over the
+  /// ascending state list `states`. Without `hungry` every node is bad and
+  /// no arc is excluded; with it, (s, h) is bad iff rep process h(tracked)
+  /// is hungry in s, and that process's enter arcs are excluded there.
+  Product(const StateGraph& g, const SymmetryGroup* grp,
+          std::vector<std::uint32_t> states,
+          const std::vector<std::uint16_t>* hungry = nullptr,
+          sim::ProcessId tracked = 0)
+      : g_(g),
+        grp_(grp),
+        frames_(grp != nullptr ? static_cast<std::uint32_t>(grp->size()) : 1),
+        states_(std::move(states)),
+        rank_(g.num_states(), kNoIndex),
+        hungry_(hungry) {
+    if (std::uint64_t{frames_} * states_.size() >= kNoIndex) {
+      throw std::length_error("fair-cycle product exceeds 2^32 nodes");
     }
-    return v;
-  };
+    for (std::uint32_t r = 0; r < states_.size(); ++r) rank_[states_[r]] = r;
+    for (std::uint32_t h = 0; h < frames_; ++h) {
+      tracked_at_.push_back(
+          grp != nullptr
+              ? grp->apply_node(static_cast<SymmetryGroup::ElemId>(h), tracked)
+              : tracked);
+    }
+  }
 
-  std::vector<std::uint32_t> stack;
-  std::uint32_t counter = 0, comp_counter = 0;
-  struct Frame {
-    std::uint32_t dense;
-    std::uint32_t arc;  ///< absolute index into g.succ
-  };
-  std::vector<Frame> dfs;
+  [[nodiscard]] std::uint32_t state_of(std::uint32_t node) const {
+    return states_[node / frames_];
+  }
 
-  for (std::uint32_t root_s = 0; root_s < n; ++root_s) {
-    for (std::uint32_t root_h = 0; root_h < G; ++root_h) {
-      if (!in_set(root_s, static_cast<std::uint16_t>(root_h))) continue;
-      const std::uint32_t root =
-          dense_of(static_cast<std::uint64_t>(root_s) * G + root_h);
-      if (idx[root] != kNoIndex) continue;
-      idx[root] = low[root] = counter++;
-      stack.push_back(root);
-      on_stack[root] = 1;
-      dfs.push_back({root, g.succ_begin[root_s]});
+  /// Iterative Tarjan from every bad node in (state, frame) order. Calls
+  /// on_scc(Scc) at each SCC root and stops once it returns true.
+  template <class OnScc>
+  void for_each_scc(OnScc&& on_scc) {
+    const auto n = static_cast<std::uint32_t>(states_.size() * frames_);
+    idx_.assign(n, kNoIndex);
+    low_.assign(n, 0);
+    comp_.assign(n, kNoIndex);  // visited and unassigned == on the stack
+    std::vector<std::uint32_t> stack;
+    struct Frame {
+      std::uint32_t node, arc, end;
+      std::uint16_t h;
+    };
+    std::vector<Frame> dfs;
+    std::uint32_t counter = 0, comps = 0;
+    const auto visit = [&](std::uint32_t v, std::uint32_t s,
+                           std::uint16_t h) {
+      idx_[v] = low_[v] = counter++;
+      stack.push_back(v);
+      dfs.push_back({v, g_.succ_begin[s], g_.succ_begin[s + 1], h});
+    };
 
+    for (std::uint32_t root = 0; root < n; ++root) {
+      const std::uint32_t root_s = state_of(root);
+      const auto root_h = static_cast<std::uint16_t>(root % frames_);
+      if (idx_[root] != kNoIndex || !bad(root_s, root_h)) continue;
+      visit(root, root_s, root_h);
       while (!dfs.empty()) {
-        const std::uint32_t u = dfs.back().dense;
-        const auto u_s = static_cast<std::uint32_t>(node[u] / G);
-        const auto u_h = static_cast<std::uint16_t>(node[u] % G);
-        if (dfs.back().arc < g.succ_begin[u_s + 1]) {
-          const StateGraph::Arc arc = g.succ[dfs.back().arc++];
-          if (excluded(arc.move, u_h)) continue;
-          const std::uint16_t t_h = grp.compose(arc.witness, u_h);
-          if (!in_set(arc.to, t_h)) continue;
-          const std::uint32_t v =
-              dense_of(static_cast<std::uint64_t>(arc.to) * G + t_h);
-          if (idx[v] == kNoIndex) {
-            idx[v] = low[v] = counter++;
-            stack.push_back(v);
-            on_stack[v] = 1;
-            dfs.push_back({v, g.succ_begin[arc.to]});
-          } else if (on_stack[v]) {
-            low[u] = std::min(low[u], idx[v]);
+        Frame& f = dfs.back();
+        const std::uint32_t u = f.node;
+        if (f.arc < f.end) {
+          const Arc& arc = g_.succ[f.arc++];
+          const auto [v, h] = follow(f.h, arc);
+          if (v == kNoIndex) continue;
+          if (idx_[v] == kNoIndex) {
+            visit(v, arc.to, h);
+          } else if (comp_[v] == kNoIndex) {
+            low_[u] = std::min(low_[u], idx_[v]);
           }
           continue;
         }
         dfs.pop_back();
         if (!dfs.empty()) {
-          low[dfs.back().dense] = std::min(low[dfs.back().dense], low[u]);
+          low_[dfs.back().node] = std::min(low_[dfs.back().node], low_[u]);
         }
-        if (low[u] != idx[u]) continue;
+        if (low_[u] != idx_[u]) continue;
 
-        const std::uint32_t id = comp_counter++;
-        std::vector<std::uint32_t> members;
-        for (;;) {
-          const std::uint32_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          comp[w] = id;
-          members.push_back(w);
-          if (w == u) break;
-        }
-        std::uint64_t always = ~std::uint64_t{0};
-        std::uint64_t executed = 0;
-        bool has_arc = false;
-        for (const std::uint32_t d : members) {
-          const auto s = static_cast<std::uint32_t>(node[d] / G);
-          const auto h = static_cast<std::uint16_t>(node[d] % G);
-          const auto h_inv = grp.inverse(h);
-          always &= grp.permute_mask(h_inv, g.enabled[s]);
-          for (const auto& arc : g.arcs_of(s)) {
-            if (excluded(arc.move, h)) continue;
-            const std::uint16_t t_h = grp.compose(arc.witness, h);
-            if (!in_set(arc.to, t_h)) continue;
-            const std::uint32_t td =
-                dense_of(static_cast<std::uint64_t>(arc.to) * G + t_h);
-            if (comp[td] != id) continue;
-            has_arc = true;
-            executed |= std::uint64_t{1} << grp.permute_move(h_inv, arc.move);
-          }
-        }
-        always &= ~kJoinBits;
-        if (!has_arc || (always & ~executed) != 0) continue;
-
-        // Entry: the member with the smallest (state, frame); shortest
-        // product cycle through it via BFS over intra-SCC arcs.
-        const std::uint32_t entry = *std::min_element(
-            members.begin(), members.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return node[a] < node[b]; });
-        std::unordered_map<std::uint32_t,
-                           std::pair<std::uint32_t, StateGraph::Arc>>
-            parent;
-        std::deque<std::uint32_t> queue{entry};
-        constexpr std::uint32_t kUnset =
-            std::numeric_limits<std::uint32_t>::max();
-        std::uint32_t closing_from = kUnset;
-        StateGraph::Arc closing_arc{};
-        while (!queue.empty() && closing_from == kUnset) {
-          const std::uint32_t d = queue.front();
-          queue.pop_front();
-          const auto s = static_cast<std::uint32_t>(node[d] / G);
-          const auto h = static_cast<std::uint16_t>(node[d] % G);
-          for (const auto& arc : g.arcs_of(s)) {
-            if (excluded(arc.move, h)) continue;
-            const std::uint16_t t_h = grp.compose(arc.witness, h);
-            if (!in_set(arc.to, t_h)) continue;
-            const std::uint32_t td =
-                dense_of(static_cast<std::uint64_t>(arc.to) * G + t_h);
-            if (comp[td] != id) continue;
-            if (td == entry) {
-              closing_from = d;
-              closing_arc = arc;
-              break;
-            }
-            if (!parent.contains(td)) {
-              parent.emplace(td, std::make_pair(d, arc));
-              queue.push_back(td);
-            }
-          }
-        }
-        std::vector<StateGraph::Arc> cycle;
-        cycle.push_back(closing_arc);
-        for (std::uint32_t d = closing_from; d != entry;) {
-          const auto& [pred, arc] = parent.at(d);
-          cycle.push_back(arc);
-          d = pred;
-        }
-        std::reverse(cycle.begin(), cycle.end());
-        return FairCycle{static_cast<std::uint32_t>(node[entry] / G),
-                         std::move(cycle), members.size()};
+        // u roots an SCC: the stack from u up.
+        auto first = stack.end();
+        do {
+          comp_[*--first] = comps;
+        } while (*first != u);
+        const bool stop = on_scc(summarize({first, stack.end()}, comps));
+        stack.erase(first, stack.end());
+        ++comps;
+        if (stop) return;
       }
     }
   }
-  return std::nullopt;
-}
 
-/// Dispatch: product search on a symmetry-reduced graph, direct search
-/// otherwise. `bad` must be a symmetric (frame-independent) label.
-std::optional<FairCycle> find_fair_cycle_any(
-    const StateGraph& g, const std::vector<std::uint8_t>& bad) {
-  if (g.sym) {
-    return find_fair_cycle_product({.g = g, .sym_bad = &bad});
+  /// Shortest product cycle through `entry` over the intra-arcs of SCC `id`
+  /// (from the last for_each_scc), as rep-frame arcs. Precondition: `id`
+  /// is cyclic and contains `entry`.
+  [[nodiscard]] std::vector<Arc> witness_cycle(std::uint32_t entry,
+                                               std::uint32_t id) const {
+    std::vector<std::uint32_t> pred(comp_.size(), kNoIndex);
+    std::vector<std::uint32_t> via(comp_.size(), 0);  ///< index into g.succ
+    std::vector<std::uint32_t> queue{entry};
+    for (std::size_t head = 0; pred[entry] == kNoIndex; ++head) {
+      const std::uint32_t u = queue[head];
+      const std::uint32_t s = state_of(u);
+      const auto h = static_cast<std::uint16_t>(u % frames_);
+      for (std::uint32_t a = g_.succ_begin[s]; a < g_.succ_begin[s + 1];
+           ++a) {
+        const std::uint32_t v = follow(h, g_.succ[a]).node;
+        if (v == kNoIndex || comp_[v] != id || pred[v] != kNoIndex) continue;
+        pred[v] = u;
+        via[v] = a;
+        if (v == entry) break;
+        queue.push_back(v);
+      }
+    }
+    std::vector<Arc> cycle;
+    for (std::uint32_t v = entry; cycle.empty() || v != entry; v = pred[v]) {
+      cycle.push_back(g_.succ[via[v]]);
+    }
+    std::reverse(cycle.begin(), cycle.end());
+    return cycle;
   }
-  return find_fair_cycle(g, bad, kNoMove);
-}
 
-Violation cycle_violation(std::string property, std::string detail,
-                          FairCycle&& fc) {
+ private:
+  struct Step {
+    std::uint32_t node;
+    std::uint16_t h;
+  };
+
+  [[nodiscard]] bool bad(std::uint32_t s, std::uint16_t h) const {
+    return hungry_ == nullptr || (((*hungry_)[s] >> tracked_at_[h]) & 1) != 0;
+  }
+
+  /// The product arc from frame h along `arc`, or node kNoIndex when the
+  /// arc is excluded at h or leaves the live bad set.
+  [[nodiscard]] Step follow(std::uint16_t h, const Arc& arc) const {
+    const std::uint32_t r = rank_[arc.to];
+    if (r == kNoIndex ||
+        (hungry_ != nullptr && move_action(arc.move) == DinersSystem::kEnter &&
+         move_process(arc.move) == tracked_at_[h])) {
+      return {kNoIndex, 0};
+    }
+    const std::uint16_t t = grp_ != nullptr ? grp_->compose(arc.witness, h) : 0;
+    if (!bad(arc.to, t)) return {kNoIndex, 0};
+    return {r * frames_ + t, t};
+  }
+
+  [[nodiscard]] Scc summarize(std::span<const std::uint32_t> members,
+                              std::uint32_t id) const {
+    std::uint64_t always = ~std::uint64_t{0};
+    std::uint64_t executed = 0;
+    bool cyclic = false;
+    for (const std::uint32_t d : members) {
+      const std::uint32_t s = state_of(d);
+      const auto h = static_cast<std::uint16_t>(d % frames_);
+      const auto h_inv = grp_ != nullptr ? grp_->inverse(h) : h;
+      always &= grp_ != nullptr ? grp_->permute_mask(h_inv, g_.enabled[s])
+                                : g_.enabled[s];
+      for (const Arc& arc : g_.arcs_of(s)) {
+        const std::uint32_t v = follow(h, arc).node;
+        if (v == kNoIndex || comp_[v] != id) continue;
+        cyclic = true;
+        const std::uint16_t move =
+            grp_ != nullptr ? grp_->permute_move(h_inv, arc.move) : arc.move;
+        executed |= std::uint64_t{1} << move;
+      }
+    }
+    always &= ~kJoinBits;
+    return {members, id, cyclic, cyclic && (always & ~executed) == 0};
+  }
+
+  const StateGraph& g_;
+  const SymmetryGroup* grp_;
+  std::uint32_t frames_;
+  std::vector<std::uint32_t> states_;  ///< rank -> state
+  std::vector<std::uint32_t> rank_;    ///< state -> rank or kNoIndex
+  const std::vector<std::uint16_t>* hungry_;
+  std::vector<sim::ProcessId> tracked_at_;  ///< frame -> rep process
+  std::vector<std::uint32_t> idx_, low_, comp_;
+};
+
+/// The shared body of the liveness checks. A terminal state of the
+/// frame-free label `live` is stuck; otherwise the first weakly-fair-feasible
+/// SCC inside the bad set (see properties.hpp for the exactness argument) is
+/// a violation. `hungry`/`tracked` refine `live` per frame as Product
+/// describes.
+std::optional<Violation> check_eventually(
+    const StateGraph& g, const std::vector<std::uint8_t>& live,
+    std::string property, std::string stuck, std::string forever,
+    const std::vector<std::uint16_t>* hungry = nullptr,
+    sim::ProcessId tracked = 0) {
   Violation v;
-  v.kind = Violation::Kind::kCycle;
   v.property = std::move(property);
-  v.detail = std::move(detail) + " (fair-feasible SCC of " +
-             std::to_string(fc.scc_size) + " states, witness cycle length " +
-             std::to_string(fc.cycle.size()) + ")";
-  v.state = fc.entry;
-  v.cycle = std::move(fc.cycle);
+  std::vector<std::uint32_t> states;
+  for (std::uint32_t s = 0; s < g.num_states(); ++s) {
+    if (live[s] == 0) continue;
+    if (terminal(g, s)) {
+      v.kind = Violation::Kind::kStuck;
+      v.detail = std::move(stuck);
+      v.state = s;
+      return v;
+    }
+    states.push_back(s);
+  }
+  if (g.sym != nullptr) {
+    // Quotient prefilter: keep the states of cyclic SCCs of `live`.
+    Product quotient(g, nullptr, std::move(states));
+    states.clear();
+    quotient.for_each_scc([&](const Product::Scc& scc) {
+      if (scc.cyclic) {
+        for (const auto d : scc.members) states.push_back(quotient.state_of(d));
+      }
+      return false;
+    });
+    std::sort(states.begin(), states.end());
+  }
+  Product product(g, g.sym.get(), std::move(states), hungry, tracked);
+  bool found = false;
+  product.for_each_scc([&](const Product::Scc& scc) {
+    if (!scc.fair) return false;
+    // Entry: the member with the smallest (state, frame).
+    const std::uint32_t entry =
+        *std::min_element(scc.members.begin(), scc.members.end());
+    v.kind = Violation::Kind::kCycle;
+    v.state = product.state_of(entry);
+    v.cycle = product.witness_cycle(entry, scc.id);
+    v.detail = std::move(forever) + " (fair-feasible SCC of " +
+               std::to_string(scc.members.size()) +
+               " states, witness cycle length " +
+               std::to_string(v.cycle.size()) + ")";
+    found = true;
+    return true;
+  });
+  if (!found) return std::nullopt;
   return v;
 }
 
@@ -460,114 +377,54 @@ std::optional<Violation> check_convergence(
   std::vector<std::uint8_t> bad(g.num_states());
   for (std::uint32_t i = 0; i < g.num_states(); ++i) {
     bad[i] = invariant[i] == 0 ? 1 : 0;
-    if (bad[i] != 0 && terminal(g, i)) {
-      Violation v;
-      v.kind = Violation::Kind::kStuck;
-      v.property = "convergence";
-      v.detail = "terminal state outside I (no action enabled)";
-      v.state = i;
-      return v;
-    }
   }
-  if (auto fc = find_fair_cycle_any(g, bad)) {
-    return cycle_violation("convergence",
-                           "weakly fair run stays outside I forever",
-                           std::move(*fc));
-  }
-  return std::nullopt;
+  return check_eventually(g, bad, "convergence",
+                          "terminal state outside I (no action enabled)",
+                          "weakly fair run stays outside I forever");
 }
 
 std::optional<Violation> check_far_safety(
     const StateGraph& g, const std::vector<std::uint8_t>& far_bad) {
   require_complete(g, "check_far_safety");
-  for (std::uint32_t i = 0; i < g.num_states(); ++i) {
-    if (far_bad[i] != 0 && terminal(g, i)) {
-      Violation v;
-      v.kind = Violation::Kind::kStuck;
-      v.property = "far-safety";
-      v.detail = "terminal state keeps a far eating violation";
-      v.state = i;
-      return v;
-    }
-  }
-  if (auto fc = find_fair_cycle_any(g, far_bad)) {
-    return cycle_violation(
-        "far-safety", "weakly fair run keeps a far eating violation forever",
-        std::move(*fc));
-  }
-  return std::nullopt;
+  return check_eventually(
+      g, far_bad, "far-safety", "terminal state keeps a far eating violation",
+      "weakly fair run keeps a far eating violation forever");
 }
 
 std::optional<Violation> check_no_starvation(const StateGraph& g,
                                              const StateCodec& codec,
                                              sim::ProcessId p) {
   require_complete(g, "check_no_starvation");
-  if (g.sym == nullptr) {
-    std::vector<std::uint8_t> hungry(g.num_states());
-    for (std::uint32_t i = 0; i < g.num_states(); ++i) {
-      hungry[i] =
-          codec.state_of(g.keys[i], p) == core::DinerState::kHungry ? 1 : 0;
-      if (hungry[i] != 0 && terminal(g, i)) {
-        Violation v;
-        v.kind = Violation::Kind::kStuck;
-        v.property = "starvation";
-        v.detail = "process " + std::to_string(p) +
-                   " is hungry in a terminal state";
-        v.state = i;
-        return v;
-      }
-    }
-    if (auto fc = find_fair_cycle(g, hungry,
-                                  protocol_move(p, DinersSystem::kEnter))) {
-      return cycle_violation("starvation",
-                             "process " + std::to_string(p) +
-                                 " stays hungry forever without eating",
-                             std::move(*fc));
-    }
-    return std::nullopt;
-  }
-
-  // Symmetry-reduced graph: each representative covers its whole orbit of
-  // concrete states, so p is hungry "at rep i under frame h" iff h(p) is
-  // hungry in the rep — the per-state labels become bitmasks over p's
-  // orbit, and the fairness search runs on the group product. The verdict
-  // covers every process in p's orbit (the lifted run may starve any of
-  // them, up to relabeling by an automorphism).
-  const SymmetryGroup& grp = *g.sym;
-  const auto n_procs =
-      static_cast<sim::ProcessId>(codec.topology().num_nodes());
-  std::uint16_t orbit_bits = 0;
-  for (SymmetryGroup::ElemId e = 0; e < grp.size(); ++e) {
-    orbit_bits |= static_cast<std::uint16_t>(1u << grp.apply_node(e, p));
+  // On a symmetry-reduced graph each representative covers its whole orbit
+  // of concrete states, so p is hungry "at rep s under frame h" iff h(p) is
+  // hungry in the rep: the labels become bitmasks over p's orbit, and the
+  // verdict covers every process in it (the lifted run may starve any of
+  // them, up to relabeling by an automorphism). Unreduced, the orbit is {p}.
+  std::uint16_t orbit_bits = static_cast<std::uint16_t>(1u << p);
+  for (SymmetryGroup::ElemId e = 0; g.sym != nullptr && e < g.sym->size();
+       ++e) {
+    orbit_bits |= static_cast<std::uint16_t>(1u << g.sym->apply_node(e, p));
   }
   std::vector<std::uint16_t> hungry(g.num_states(), 0);
+  std::vector<std::uint8_t> live(g.num_states(), 0);
   for (std::uint32_t i = 0; i < g.num_states(); ++i) {
-    std::uint16_t m = 0;
-    for (sim::ProcessId q = 0; q < n_procs; ++q) {
+    for (std::uint16_t rest = orbit_bits; rest != 0; rest &= rest - 1) {
+      const auto q = static_cast<graph::NodeId>(std::countr_zero(rest));
       if (codec.state_of(g.keys[i], q) == core::DinerState::kHungry) {
-        m |= static_cast<std::uint16_t>(1u << q);
+        hungry[i] |= static_cast<std::uint16_t>(1u << q);
       }
     }
-    hungry[i] = m;
-    if ((m & orbit_bits) != 0 && terminal(g, i)) {
-      Violation v;
-      v.kind = Violation::Kind::kStuck;
-      v.property = "starvation";
-      v.detail = "a process in the orbit of process " + std::to_string(p) +
-                 " is hungry in a terminal state (symmetry-reduced graph)";
-      v.state = i;
-      return v;
-    }
+    live[i] = hungry[i] != 0 ? 1 : 0;
   }
-  if (auto fc = find_fair_cycle_product(
-          {.g = g, .hungry = &hungry, .tracked = p})) {
-    return cycle_violation(
-        "starvation",
-        "a process in the orbit of process " + std::to_string(p) +
-            " stays hungry forever without eating (symmetry-reduced graph)",
-        std::move(*fc));
-  }
-  return std::nullopt;
+  const std::string who =
+      g.sym != nullptr
+          ? "a process in the orbit of process " + std::to_string(p)
+          : "process " + std::to_string(p);
+  const std::string where =
+      g.sym != nullptr ? " (symmetry-reduced graph)" : "";
+  return check_eventually(
+      g, live, "starvation", who + " is hungry in a terminal state" + where,
+      who + " stays hungry forever without eating" + where, &hungry, p);
 }
 
 }  // namespace diners::verify

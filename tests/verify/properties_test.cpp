@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <span>
 
 #include "analysis/invariants.hpp"
 #include "core/serialize.hpp"
+#include "graph/automorphisms.hpp"
 #include "graph/generators.hpp"
 #include "verify/explorer.hpp"
+#include "verify/symmetry.hpp"
 
 namespace diners::verify {
 namespace {
@@ -91,6 +94,140 @@ TEST(Closure, ReportsTheViolatingMove) {
   EXPECT_EQ(v->state, 0u);
   EXPECT_EQ(v->move, kMoveA);
   EXPECT_EQ(v->successor, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The group-product search on hand-built quotient graphs over K2 and its
+// swap group. Product node (s, h) stands for the concrete state
+// A_{h^{-1}}(rep(s)), so the frame decides which rep process is the tracked
+// one: the same quotient arcs starve p or not depending on their witnesses.
+// Keys carry only the diner states, which is all check_no_starvation reads.
+
+class SwapProduct : public ::testing::Test {
+ protected:
+  static constexpr SymmetryGroup::ElemId kSwap = 1;
+  static constexpr auto kH = core::DinerState::kHungry;
+  static constexpr auto kT = core::DinerState::kThinking;
+
+  void SetUp() override {
+    ASSERT_EQ(group_->size(), 2u);
+    ASSERT_EQ(group_->apply_node(kSwap, 0), 1u);
+  }
+
+  /// tiny_graph over keys with the given (p0, p1) diner states, reduced
+  /// under the swap group.
+  StateGraph quotient(
+      const std::vector<std::pair<core::DinerState, core::DinerState>>& states,
+      std::vector<std::uint64_t> enabled,
+      std::vector<std::vector<StateGraph::Arc>> arcs) const {
+    StateGraph g = tiny_graph(std::move(enabled), std::move(arcs));
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      key_set_bits(g.keys[i], codec_.state_pos(0), 2,
+                   static_cast<std::uint64_t>(states[i].first));
+      key_set_bits(g.keys[i], codec_.state_pos(1), 2,
+                   static_cast<std::uint64_t>(states[i].second));
+    }
+    g.sym = group_;
+    return g;
+  }
+
+  static constexpr std::uint64_t bit(std::uint16_t move) {
+    return std::uint64_t{1} << move;
+  }
+
+  graph::Graph topo_ = graph::make_path(2);
+  StateCodec codec_{topo_, 0, 1};
+  std::shared_ptr<const SymmetryGroup> group_ =
+      std::make_shared<SymmetryGroup>(codec_,
+                                      graph::automorphism_generators(topo_));
+};
+
+constexpr std::uint16_t kFix0 = protocol_move(0, DinersSystem::kFixDepth);
+constexpr std::uint16_t kFix1 = protocol_move(1, DinersSystem::kFixDepth);
+constexpr std::uint16_t kEnter1 = protocol_move(1, DinersSystem::kEnter);
+
+TEST_F(SwapProduct, CycleThroughANonIdentityFrameIsFoundAndClosesAtItsEntry) {
+  // Rep 0 has p0 hungry, rep 1 has p1 hungry, and both arcs swap frames:
+  // (0, id) -> (1, swap) -> (0, id) keeps the tracked p0 hungry throughout
+  // while p1 runs fixdepth forever (concretely (1, fixdepth) both times).
+  const auto g = quotient({{kH, kT}, {kT, kH}}, {bit(kFix1), bit(kFix0)},
+                          {{{1, kFix1, kSwap}}, {{0, kFix0, kSwap}}});
+  const auto v = check_no_starvation(g, codec_, 0);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->kind, Violation::Kind::kCycle);
+  EXPECT_EQ(v->state, 0u);
+  ASSERT_EQ(v->cycle.size(), 2u);
+  EXPECT_EQ(v->cycle.back().to, v->state);
+  EXPECT_EQ(group_->compose(v->cycle[1].witness, v->cycle[0].witness),
+            SymmetryGroup::kIdentity);
+
+  // The same arcs without the frame swap leave p0's hungry set at rep 1.
+  const auto plain = quotient({{kH, kT}, {kT, kH}}, {bit(kFix1), bit(kFix0)},
+                              {{{1, kFix1}}, {{0, kFix0}}});
+  EXPECT_FALSE(check_no_starvation(plain, codec_, 0).has_value());
+}
+
+TEST_F(SwapProduct, LoopWhoseFrameFlipLeavesTheHungrySetIsNoViolation) {
+  // Rep 0 has only p0 hungry, so its orbit is in the hungry superset and
+  // the quotient prefilter keeps the self-loop. But the loop swaps frames:
+  // (0, id) -> (0, swap) tracks p1 there, who is thinking — no product
+  // cycle stays hungry.
+  const auto flip =
+      quotient({{kH, kT}}, {bit(kFix1)}, {{{0, kFix1, kSwap}}});
+  EXPECT_FALSE(check_no_starvation(flip, codec_, 0).has_value());
+
+  const auto stay = quotient({{kH, kT}}, {bit(kFix1)}, {{{0, kFix1}}});
+  const auto v = check_no_starvation(stay, codec_, 0);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->kind, Violation::Kind::kCycle);
+  EXPECT_EQ(v->cycle.size(), 1u);
+}
+
+TEST_F(SwapProduct, EnterIsExcludedInOneFrameAndExecutedInAnother) {
+  // Both hungry; rep process 1 enters forever. Tracking p1, the identity
+  // frame maps p1 to rep 1, whose enter is excluded; the swap frame maps p1
+  // to rep 0, so rep 1's enter is the concrete (0, enter) there and p1
+  // starves while p0 eats.
+  const auto both = quotient({{kH, kH}}, {bit(kEnter1)}, {{{0, kEnter1}}});
+  const auto v = check_no_starvation(both, codec_, 1);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->kind, Violation::Kind::kCycle);
+  EXPECT_EQ(v->state, 0u);
+  ASSERT_EQ(v->cycle.size(), 1u);
+  EXPECT_EQ(v->cycle[0].move, kEnter1);
+
+  // With only p1 hungry the swap frame is outside the hungry set and the
+  // identity frame's only arc is p1's own enter: nobody starves.
+  const auto one = quotient({{kT, kH}}, {bit(kEnter1)}, {{{0, kEnter1}}});
+  EXPECT_FALSE(check_no_starvation(one, codec_, 1).has_value());
+}
+
+TEST_F(SwapProduct, BadStateInATrivialQuotientSccIsNeverReported) {
+  // Rep 0 is bad and hungry but lies on no quotient cycle: it only feeds
+  // (through a frame swap) the fair loop 1 <-> 2. The violation must be
+  // reported at the loop, never at 0.
+  const std::uint64_t both = bit(kFix0) | bit(kFix1);
+  const auto g = quotient({{kH, kH}, {kH, kH}, {kH, kH}}, {both, both, both},
+                          {{{1, kFix0, kSwap}},
+                           {{2, kFix1}},
+                           {{1, kFix0}}});
+  const auto conv = check_convergence(g, {0, 0, 0});
+  ASSERT_TRUE(conv.has_value());
+  EXPECT_EQ(conv->kind, Violation::Kind::kCycle);
+  EXPECT_EQ(conv->state, 1u);
+  const auto starve = check_no_starvation(g, codec_, 0);
+  ASSERT_TRUE(starve.has_value());
+  EXPECT_EQ(starve->state, 1u);
+
+  // Without the loop's back arc every bad state is trivial: 0 -> 1 -> 2
+  // ends in the good, thinking, self-looping state 2.
+  const auto chain = quotient({{kH, kH}, {kH, kH}, {kT, kT}},
+                              {both, both, bit(kFix0)},
+                              {{{1, kFix0, kSwap}},
+                               {{2, kFix1, kSwap}},
+                               {{2, kFix0}}});
+  EXPECT_FALSE(check_convergence(chain, {0, 0, 1}).has_value());
+  EXPECT_FALSE(check_no_starvation(chain, codec_, 0).has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "graph/generators.hpp"
 #include "verify/counterexample.hpp"
 #include "verify/explorer.hpp"
+#include "util/rng.hpp"
 #include "verify/mutation.hpp"
 #include "verify/properties.hpp"
 
@@ -329,6 +330,83 @@ TEST(Reduction, InstanceSeededPorVerdictsMatchAndPrune) {
   const RunResult rb = run_verify(proto, both);
   EXPECT_EQ(rb.verdict, base.verdict);
   EXPECT_LT(rb.healthy_states, base.healthy_states);
+}
+
+// ---- random symmetric labels ---------------------------------------------
+
+std::string kind_of(const std::optional<Violation>& v) {
+  if (!v) return "ok";
+  return v->kind == Violation::Kind::kCycle ? "cycle" : "stuck";
+}
+
+TEST(Reduction, RandomSymmetricLabelsGiveTheUnreducedVerdict) {
+  // The group-product search and its quotient-SCC prefilter must decide any
+  // symmetric bad set exactly as the unreduced search does, not only the
+  // labels the protocol's own properties produce. A label bit is drawn per
+  // quotient state of a box-seeded sym-only graph and lifted to every orbit
+  // member of the unreduced graph. check_far_safety reads the label as the
+  // bad set (sparse: fragmented SCCs, some fair and some not) and
+  // check_convergence as I (a dense bad set). Every topology must yield at
+  // least one cycle and at least one clean verdict, so that a prune that
+  // drops real cycles or keeps spurious ones cannot pass by never meeting
+  // either.
+  std::vector<Topo> topologies = battery_topologies();
+  topologies.push_back({"k3", graph::make_complete(3)});
+  for (const auto& t : topologies) {
+    const DinersSystem proto = hungry_system(t.graph);
+    const StateCodec codec(
+        proto.topology(), 0,
+        static_cast<std::int64_t>(*proto.config().diameter_override) + 1);
+    std::vector<Key> seeds;
+    seeds.reserve(codec.domain_size());
+    for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
+      seeds.push_back(codec.domain_key(i));
+    }
+    const auto explore = [&](bool sym) {
+      DinersSystem scratch = core::clone(proto);
+      Explorer::Options opts;
+      opts.reduce_sym = sym;
+      Explorer explorer(scratch, codec, opts);
+      return explorer.explore(seeds);
+    };
+    const StateGraph reduced = explore(true);
+    const StateGraph full = explore(false);
+    ASSERT_TRUE(reduced.complete && full.complete) << t.name;
+    ASSERT_NE(reduced.sym, nullptr) << t.name;
+    ASSERT_EQ(full.sym, nullptr) << t.name;
+    std::vector<std::uint32_t> rep_of(full.num_states());
+    for (std::uint32_t i = 0; i < full.num_states(); ++i) {
+      rep_of[i] = reduced.index.find(reduced.sym->canonical(full.keys[i]));
+      ASSERT_NE(rep_of[i], KeyIndex::kAbsent) << t.name << " state " << i;
+    }
+
+    std::size_t cycles = 0, clean = 0;
+    for (const double density : {0.05, 0.1, 0.2, 0.3}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        util::Xoshiro256 rng(seed);
+        std::vector<std::uint8_t> label_r(reduced.num_states());
+        for (auto& b : label_r) b = rng.chance(density) ? 1 : 0;
+        std::vector<std::uint8_t> label_u(full.num_states());
+        for (std::uint32_t i = 0; i < full.num_states(); ++i) {
+          label_u[i] = label_r[rep_of[i]];
+        }
+        const std::string ctx = t.name + " density " +
+                                std::to_string(density) + " seed " +
+                                std::to_string(seed);
+        for (const auto& [r, u] :
+             {std::pair{kind_of(check_convergence(reduced, label_r)),
+                        kind_of(check_convergence(full, label_u))},
+              std::pair{kind_of(check_far_safety(reduced, label_r)),
+                        kind_of(check_far_safety(full, label_u))}}) {
+          EXPECT_EQ(r, u) << ctx;
+          cycles += u == "cycle" ? 1 : 0;
+          clean += u == "ok" ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(cycles, 0u) << t.name;
+    EXPECT_GT(clean, 0u) << t.name;
+  }
 }
 
 // ---- orbit-factor state counts ------------------------------------------

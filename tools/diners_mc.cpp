@@ -113,6 +113,15 @@ struct ExhaustiveStats {
   /// demonic-victim re-exploration.
   std::string reduce_mode = "none";
   verify::StateGraph::ReductionStats reduction;
+  /// Property-check phases, in seconds. locality sums the labelling and
+  /// checks of every victim (and of an instance's existing dead set).
+  struct Phases {
+    double label = 0;
+    double closure = 0;
+    double convergence = 0;
+    double progress = 0;
+    double locality = 0;
+  } phases;
 };
 
 void write_json_summary(std::ostream& os, const std::string& topology,
@@ -162,6 +171,15 @@ void write_json_summary(std::ostream& os, const std::string& topology,
   w.field("canonical_hit_ratio", hit_ratio);
   w.field("por_ample_states", s.reduction.por_ample_states);
   w.field("por_arcs_pruned", s.reduction.por_arcs_pruned);
+  w.end_object();
+  // Appended in schema v3: where the non-exploration time goes.
+  w.key("phases");
+  w.begin_object();
+  w.field("label_seconds", s.phases.label);
+  w.field("closure_seconds", s.phases.closure);
+  w.field("convergence_seconds", s.phases.convergence);
+  w.field("progress_seconds", s.phases.progress);
+  w.field("locality_seconds", s.phases.locality);
   w.end_object();
   w.finish();
 }
@@ -340,7 +358,18 @@ int run_exhaustive(const diners::util::Flags& flags,
     return kInconclusive;
   }
 
-  const auto inv = verify::label_invariant(healthy, codec, scratch);
+  // Adds the time since `t` to `phase` when the enclosing scope ends, on
+  // every return path (a phase that finds a violation includes composing
+  // and writing its counterexample).
+  struct PhaseTimer {
+    double& phase;
+    std::chrono::steady_clock::time_point t = std::chrono::steady_clock::now();
+    ~PhaseTimer() { phase += seconds_since(t); }
+  };
+  const auto inv = [&] {
+    const PhaseTimer timer{stats.phases.label};
+    return verify::label_invariant(healthy, codec, scratch);
+  }();
   std::uint64_t legit = 0;
   for (const auto b : inv) legit += b;
   stats.legitimate = legit;
@@ -386,18 +415,21 @@ int run_exhaustive(const diners::util::Flags& flags,
   };
 
   if (checks.closure) {
+    const PhaseTimer timer{stats.phases.closure};
     if (const auto v = verify::check_closure(healthy, inv)) {
       return fail(std::nullopt, nullptr, *v);
     }
     std::cout << "closure: OK\n";
   }
   if (checks.convergence) {
+    const PhaseTimer timer{stats.phases.convergence};
     if (const auto v = verify::check_convergence(healthy, inv)) {
       return fail(std::nullopt, nullptr, *v);
     }
     std::cout << "convergence: OK\n";
   }
   if (checks.progress) {
+    const PhaseTimer timer{stats.phases.progress};
     if (prototype.dead_processes().empty()) {
       // Individual progress for everyone holds only crash-free; with dead
       // processes present the locality check below covers the far ones (the
@@ -422,6 +454,7 @@ int run_exhaustive(const diners::util::Flags& flags,
     if (!pre_dead.empty()) {
       // The instance already carries a crash (e.g. figure2): analyse the
       // explored graph directly against its dead set.
+      const PhaseTimer timer{stats.phases.locality};
       const auto dist = diners::graph::distances_to_set(
           g, std::span<const NodeId>(pre_dead));
       const auto far_bad =
@@ -487,6 +520,7 @@ int run_exhaustive(const diners::util::Flags& flags,
                   << max_states << "\n";
         return kInconclusive;
       }
+      const PhaseTimer timer{stats.phases.locality};
       const auto dead = crashed_scratch.dead_processes();
       const auto dist = diners::graph::distances_to_set(
           g, std::span<const NodeId>(dead));
