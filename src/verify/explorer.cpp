@@ -304,23 +304,30 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
 
   // Hash-sharded visited set: shard = KeyHash % jobs, each owned by one
   // worker during resolution, so the hot probe/insert path is lock-free.
+  // Under reduction the shards hold the quotient, which by orbit-stabilizer
+  // has at least hint / |G| states; they grow on demand past that.
+  const std::size_t visited_hint = sym_on ? hint / grp->size() : hint;
   std::vector<VisitedShard> shards(jobs);
   for (auto& s : shards) {
     s.init(options_.compact_visited, codec_.bits());
-    s.reserve(hint / jobs + 16);
+    s.reserve(visited_hint / jobs + 16);
   }
 
   // Per-worker reduction accounting, summed after the BFS. The candidate
   // stream is jobs-invariant, so the totals are too.
   std::vector<StateGraph::ReductionStats> wstats(jobs);
 
-  // Demonic orbit-skip: the demon candidates of k are {base | pattern_i}
-  // with base = k & ~demon_mask — a function of base alone. Once any state
-  // with a given base has been expanded and merged, all its orbit members
-  // are in the graph, so later same-base states skip demon generation with
-  // zero effect on the result. Bases commit at chunk boundaries to keep
-  // the candidate stream jobs-independent.
+  // Demonic writes once per base: the demon candidates of k are
+  // {base | pattern_i} minus k itself, with base = k & ~demon_mask — a
+  // function of base alone. Before each chunk's expansion a serial pass in
+  // state order records every state's base and marks the first state of
+  // each unseen base; only marked states emit writes. A later state j with
+  // the base of an earlier state i would emit only candidates i already
+  // emitted at a smaller ordinal, plus k_i, which is admitted — so no
+  // admission, parent, witness or cap-drop point changes, and the serial
+  // pass keeps the candidate stream jobs-independent.
   KeyIndex orbit_seen;
+  std::vector<std::uint8_t> demon_first;  ///< per chunk state: emits writes
   if (!demon_patterns_.empty()) {
     orbit_seen.reserve(hint / (demon_patterns_.size() + 1) + 16);
   }
@@ -447,6 +454,13 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
     cand_count.assign(m, 0);
     prot_count.assign(m, 0);
     g.enabled.resize(end);
+    if (!demon_patterns_.empty()) {
+      demon_first.resize(m);
+      for (std::uint32_t i = begin; i < end; ++i) {
+        demon_first[i - begin] =
+            orbit_seen.insert(key_andnot(g.keys[i], demon_mask_), 0).second;
+      }
+    }
     pool.run(jobs, [&](std::size_t w) {
       auto& buf = wcands[w];
       buf.clear();
@@ -505,18 +519,15 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
             break;
           }
         }
-        if (!demon_patterns_.empty()) {
+        if (!demon_patterns_.empty() && demon_first[i - begin] != 0) {
           const Key dbase = key_andnot(k, demon_mask_);
-          if (orbit_seen.find(dbase) == KeyIndex::kAbsent) {
-            for (std::uint16_t di = 0;
-                 di < static_cast<std::uint16_t>(demon_patterns_.size());
-                 ++di) {
-              const Key k2 = key_or(dbase, demon_patterns_[di]);
-              if (!(k2 == k)) {
-                buf.push_back({k2, i,
-                               static_cast<std::uint16_t>(kDemonMoveBase +
-                                                          di)});
-              }
+          for (std::uint16_t di = 0;
+               di < static_cast<std::uint16_t>(demon_patterns_.size());
+               ++di) {
+            const Key k2 = key_or(dbase, demon_patterns_[di]);
+            if (!(k2 == k)) {
+              buf.push_back(
+                  {k2, i, static_cast<std::uint16_t>(kDemonMoveBase + di)});
             }
           }
         }
@@ -587,11 +598,6 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
         }
       }
     });
-    if (!demon_patterns_.empty()) {
-      for (std::uint32_t i = begin; i < end; ++i) {
-        orbit_seen.insert(key_andnot(g.keys[i], demon_mask_), 0);
-      }
-    }
     g.num_expanded = end;
   };
 

@@ -180,7 +180,10 @@ class Explorer {
     /// every value. Zero throws.
     unsigned jobs = 1;
     /// Visited-set capacity hint. 0 = derive from the codec's full domain
-    /// size (the arbitrary-start state box), clamped to max_states.
+    /// size (the arbitrary-start state box), clamped to max_states. Under
+    /// symmetry reduction the visited shards reserve expected_states / |G|
+    /// (|G| the quotient group's order): by orbit-stabilizer a set of that
+    /// many states has at least that many orbits. They grow on demand.
     std::uint64_t expected_states = 0;
     /// Test-only: generate successors through the original
     /// codec.decode / program.execute / codec.encode round-trip instead of

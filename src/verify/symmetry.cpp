@@ -1,8 +1,11 @@
 #include "verify/symmetry.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "verify/explorer.hpp"
 
@@ -19,6 +22,13 @@ graph::Permutation compose_perm(const graph::Permutation& a,
 
 bool key_less(const Key& a, const Key& b) noexcept {
   return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+}
+
+Key key_xor(Key a, Key b) noexcept { return {a.lo ^ b.lo, a.hi ^ b.hi}; }
+
+/// Byte b (0 = least significant) of the 128-bit key.
+std::uint64_t key_byte(const Key& k, std::uint32_t b) noexcept {
+  return ((b < 8 ? k.lo : k.hi) >> (8 * (b % 8))) & 0xFF;
 }
 
 constexpr std::size_t kComposeTableLimit = 4096;
@@ -72,14 +82,12 @@ SymmetryGroup::SymmetryGroup(const StateCodec& codec,
 
 SymmetryGroup::SymmetryGroup(const StateCodec& codec,
                              std::vector<graph::Permutation> all, ClosedTag)
-    : codec_(&codec), depth_bits_(codec.depth_field_bits()) {
+    : codec_(&codec),
+      perms_(std::move(all)),
+      key_bytes_((codec.bits() + 7) / 8) {
   // Deterministic element ids: sort lexicographically. The identity is the
   // lex-minimum permutation, so kIdentity == 0 holds by construction.
-  std::sort(all.begin(), all.end());
-  elems_.resize(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    elems_[i].perm = std::move(all[i]);
-  }
+  std::sort(perms_.begin(), perms_.end());
   build_tables();
 }
 
@@ -95,27 +103,53 @@ void SymmetryGroup::build_tables() {
   const auto& topo = codec_->topology();
   const graph::NodeId n = topo.num_nodes();
   const graph::EdgeId m = topo.num_edges();
-  const auto size = static_cast<ElemId>(elems_.size());
+  const auto size = static_cast<ElemId>(perms_.size());
+  const std::size_t rows = std::size_t{key_bytes_} * 256;
+  if (rows * perms_.size() > kMaxTableBytes / sizeof(Key)) {
+    throw std::invalid_argument(
+        "SymmetryGroup: canonicalization tables exceed the " +
+        std::to_string(kMaxTableBytes >> 20) + " MiB limit");
+  }
 
-  by_packed_.reserve(elems_.size());
+  images_.assign(rows * perms_.size(), Key{});
+  flips_.assign(perms_.size(), Key{});
+  by_packed_.reserve(perms_.size());
+  // dst[s]: the bit position A_e moves source bit s to (bits past the last
+  // field stay unmapped, as they are never set in a codec key).
+  std::vector<Key> dst(std::size_t{key_bytes_} * 8);
+  const auto map_field = [&](std::uint32_t from, std::uint32_t to,
+                             std::uint32_t width) {
+    for (std::uint32_t i = 0; i < width; ++i) {
+      dst[from + i] = Key{};
+      key_set_bits(dst[from + i], to + i, 1, 1);
+    }
+  };
+  const std::uint32_t depth_bits = codec_->depth_field_bits();
   for (ElemId e = 0; e < size; ++e) {
-    Elem& el = elems_[e];
-    el.dst_state_pos.resize(n);
-    el.dst_depth_pos.resize(n);
-    el.dst_edge_pos.resize(m);
-    el.edge_flip.resize(m);
+    const graph::Permutation& perm = perms_[e];
     for (graph::NodeId p = 0; p < n; ++p) {
-      el.dst_state_pos[p] = codec_->state_pos(el.perm[p]);
-      el.dst_depth_pos[p] = codec_->depth_pos(el.perm[p]);
+      map_field(codec_->state_pos(p), codec_->state_pos(perm[p]), 2);
+      map_field(codec_->depth_pos(p), codec_->depth_pos(perm[p]), depth_bits);
     }
     for (graph::EdgeId ed = 0; ed < m; ++ed) {
       const auto& edge = topo.edge(ed);
-      const graph::NodeId iu = el.perm[edge.u], iv = el.perm[edge.v];
-      const graph::EdgeId target = topo.edge_index(iu, iv);
-      el.dst_edge_pos[ed] = codec_->edge_pos(target);
-      el.edge_flip[ed] = iu > iv ? 1 : 0;
+      const graph::NodeId iu = perm[edge.u], iv = perm[edge.v];
+      const std::uint32_t to = codec_->edge_pos(topo.edge_index(iu, iv));
+      map_field(codec_->edge_pos(ed), to, 1);
+      // The packed bit encodes owner == edge.v with u < v, so it flips iff
+      // pi swaps the endpoint order.
+      if (iu > iv) key_set_bits(flips_[e], to, 1, 1);
     }
-    by_packed_.emplace_back(pack_perm(el.perm), e);
+    // Each value's image is its lowest set bit's image plus the image of
+    // the value without that bit, already built.
+    for (std::uint32_t b = 0; b < key_bytes_; ++b) {
+      for (std::uint32_t v = 1; v < 256; ++v) {
+        const Key low = dst[b * 8 + std::countr_zero(v)];
+        const Key rest = image_row(b, v & (v - 1))[e];
+        images_[(b * 256 + v) * perms_.size() + e] = key_or(low, rest);
+      }
+    }
+    by_packed_.emplace_back(pack_perm(perm), e);
   }
   std::sort(by_packed_.begin(), by_packed_.end());
 
@@ -130,15 +164,15 @@ void SymmetryGroup::build_tables() {
   inverse_.resize(size);
   for (ElemId e = 0; e < size; ++e) {
     graph::Permutation inv(n);
-    for (graph::NodeId p = 0; p < n; ++p) inv[elems_[e].perm[p]] = p;
+    for (graph::NodeId p = 0; p < n; ++p) inv[perms_[e][p]] = p;
     inverse_[e] = lookup(inv);
   }
-  if (elems_.size() <= kComposeTableLimit) {
-    compose_.resize(elems_.size() * elems_.size());
+  if (perms_.size() <= kComposeTableLimit) {
+    compose_.resize(perms_.size() * perms_.size());
     for (ElemId a = 0; a < size; ++a) {
       for (ElemId b = 0; b < size; ++b) {
         compose_[static_cast<std::size_t>(a) * size + b] =
-            lookup(compose_perm(elems_[a].perm, elems_[b].perm));
+            lookup(compose_perm(perms_[a], perms_[b]));
       }
     }
   }
@@ -146,9 +180,9 @@ void SymmetryGroup::build_tables() {
 
 SymmetryGroup::ElemId SymmetryGroup::compose(ElemId a, ElemId b) const {
   if (!compose_.empty()) {
-    return compose_[static_cast<std::size_t>(a) * elems_.size() + b];
+    return compose_[static_cast<std::size_t>(a) * perms_.size() + b];
   }
-  const graph::Permutation c = compose_perm(elems_[a].perm, elems_[b].perm);
+  const graph::Permutation c = compose_perm(perms_[a], perms_[b]);
   const std::uint64_t packed = pack_perm(c);
   const auto it = std::lower_bound(
       by_packed_.begin(), by_packed_.end(), packed,
@@ -157,27 +191,17 @@ SymmetryGroup::ElemId SymmetryGroup::compose(ElemId a, ElemId b) const {
 }
 
 Key SymmetryGroup::apply(ElemId e, const Key& k) const {
-  const Elem& el = elems_[e];
-  const auto n = static_cast<graph::NodeId>(el.dst_state_pos.size());
-  const auto m = static_cast<graph::EdgeId>(el.dst_edge_pos.size());
   Key out;
-  for (graph::NodeId p = 0; p < n; ++p) {
-    key_set_bits(out, el.dst_state_pos[p], 2,
-                 key_get_bits(k, codec_->state_pos(p), 2));
-    key_set_bits(out, el.dst_depth_pos[p], depth_bits_,
-                 key_get_bits(k, codec_->depth_pos(p), depth_bits_));
+  for (std::uint32_t b = 0; b < key_bytes_; ++b) {
+    out = key_or(out, image_row(b, key_byte(k, b))[e]);
   }
-  for (graph::EdgeId ed = 0; ed < m; ++ed) {
-    key_set_bits(out, el.dst_edge_pos[ed], 1,
-                 key_get_bits(k, codec_->edge_pos(ed), 1) ^ el.edge_flip[ed]);
-  }
-  return out;
+  return key_xor(out, flips_[e]);
 }
 
 std::uint16_t SymmetryGroup::permute_move(ElemId e,
                                           std::uint16_t move) const {
   if (move >= kDemonMoveBase) return move;
-  return protocol_move(elems_[e].perm[move_process(move)], move_action(move));
+  return protocol_move(perms_[e][move_process(move)], move_action(move));
 }
 
 std::uint64_t SymmetryGroup::permute_mask(ElemId e,
@@ -185,7 +209,7 @@ std::uint64_t SymmetryGroup::permute_mask(ElemId e,
   if (e == kIdentity) return mask;
   constexpr std::uint32_t kActs = core::DinersSystem::kNumActions;
   constexpr std::uint64_t kActMask = (std::uint64_t{1} << kActs) - 1;
-  const auto& perm = elems_[e].perm;
+  const auto& perm = perms_[e];
   std::uint64_t out = 0;
   for (std::size_t p = 0; p < perm.size(); ++p) {
     out |= ((mask >> (p * kActs)) & kActMask) << (perm[p] * kActs);
@@ -194,13 +218,24 @@ std::uint64_t SymmetryGroup::permute_mask(ElemId e,
 }
 
 Key SymmetryGroup::canonical(const Key& k, ElemId* witness) const {
+  // The key's image rows, one per byte; element e's image is the OR of
+  // rows[b][e], then its flips.
+  std::array<const Key*, 16> rows{};
+  for (std::uint32_t b = 0; b < key_bytes_; ++b) {
+    rows[b] = image_row(b, key_byte(k, b));
+  }
   Key best = k;
   ElemId best_e = kIdentity;
-  for (ElemId e = 1; e < elems_.size(); ++e) {
-    const Key img = apply(e, k);
+  for (std::size_t e = 1; e < perms_.size(); ++e) {
+    Key img;
+    for (std::uint32_t b = 0; b < key_bytes_; ++b) {
+      img = key_or(img, rows[b][e]);
+    }
+    img = key_xor(img, flips_[e]);
+    // Strictly smaller only: ties keep the smallest witness.
     if (key_less(img, best)) {
       best = img;
-      best_e = e;
+      best_e = static_cast<ElemId>(e);
     }
   }
   if (witness != nullptr) *witness = best_e;
@@ -210,12 +245,12 @@ Key SymmetryGroup::canonical(const Key& k, ElemId* witness) const {
 std::shared_ptr<const SymmetryGroup> SymmetryGroup::stabilizer(
     const std::vector<std::uint8_t>& label) const {
   std::vector<graph::Permutation> kept;
-  for (const Elem& el : elems_) {
+  for (const graph::Permutation& perm : perms_) {
     bool ok = true;
-    for (std::size_t p = 0; p < el.perm.size() && ok; ++p) {
-      ok = label[el.perm[p]] == label[p];
+    for (std::size_t p = 0; p < perm.size() && ok; ++p) {
+      ok = label[perm[p]] == label[p];
     }
-    if (ok) kept.push_back(el.perm);
+    if (ok) kept.push_back(perm);
   }
   // The kept set is a subgroup (labels compose and invert), already closed.
   return std::shared_ptr<const SymmetryGroup>(
@@ -223,14 +258,14 @@ std::shared_ptr<const SymmetryGroup> SymmetryGroup::stabilizer(
 }
 
 std::vector<std::vector<graph::NodeId>> SymmetryGroup::node_orbits() const {
-  const auto n = static_cast<graph::NodeId>(elems_[0].perm.size());
+  const auto n = static_cast<graph::NodeId>(perms_[0].size());
   std::vector<std::vector<graph::NodeId>> orbits;
   std::vector<std::uint8_t> seen(n, 0);
   for (graph::NodeId p = 0; p < n; ++p) {
     if (seen[p] != 0) continue;
     std::vector<graph::NodeId> orbit;
-    for (const Elem& el : elems_) {
-      const graph::NodeId q = el.perm[p];
+    for (const graph::Permutation& perm : perms_) {
+      const graph::NodeId q = perm[p];
       if (seen[q] == 0) {
         seen[q] = 1;
         orbit.push_back(q);

@@ -14,10 +14,19 @@
 // of the group, never of generator order), which at explorer scale is tiny:
 // ring-n has 2n elements, K_n has n!, n <= 8. Element ids fit in 16 bits —
 // they ride along as per-arc witnesses in the StateGraph.
+//
+// The action itself is table-driven: A_e is a fixed permutation of key bit
+// positions followed by the orientation flips, so for every key byte b and
+// byte value v the image of "byte b holds v, every other bit 0" is one
+// precomputed Key. apply() ORs ceil(bits/8) such images and XORs the
+// element's flip mask; canonical() runs that over every element in one
+// loop (DESIGN.md section 10 has the layout and footprint).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/automorphisms.hpp"
@@ -35,19 +44,20 @@ class SymmetryGroup {
 
   /// Closure of `generators` under composition (the identity is always
   /// included). Throws std::invalid_argument if a generator is not a valid
-  /// permutation of the codec's nodes or the closure exceeds kMaxElements.
+  /// permutation of the codec's nodes, the closure exceeds kMaxElements, or
+  /// its canonicalization tables would exceed 256 MiB.
   SymmetryGroup(const StateCodec& codec,
                 const std::vector<graph::Permutation>& generators);
 
-  [[nodiscard]] std::size_t size() const noexcept { return elems_.size(); }
-  [[nodiscard]] bool trivial() const noexcept { return elems_.size() == 1; }
+  [[nodiscard]] std::size_t size() const noexcept { return perms_.size(); }
+  [[nodiscard]] bool trivial() const noexcept { return perms_.size() == 1; }
 
   [[nodiscard]] const graph::Permutation& perm(ElemId e) const {
-    return elems_[e].perm;
+    return perms_[e];
   }
   /// pi_e(p).
   [[nodiscard]] graph::NodeId apply_node(ElemId e, graph::NodeId p) const {
-    return elems_[e].perm[p];
+    return perms_[e][p];
   }
   /// Element id of pi_a ∘ pi_b (b applied first).
   [[nodiscard]] ElemId compose(ElemId a, ElemId b) const;
@@ -81,25 +91,23 @@ class SymmetryGroup {
   [[nodiscard]] std::vector<std::vector<graph::NodeId>> node_orbits() const;
 
  private:
-  struct Elem {
-    graph::Permutation perm;
-    /// Per process p: destination field positions for A_e (state/depth of
-    /// pi(p)), index-aligned with the codec's node ids.
-    std::vector<std::uint32_t> dst_state_pos;
-    std::vector<std::uint32_t> dst_depth_pos;
-    /// Per edge: destination orientation-bit position and the XOR flip.
-    std::vector<std::uint32_t> dst_edge_pos;
-    std::vector<std::uint8_t> edge_flip;
-  };
+  /// Hard cap on the image tables: |G| * ceil(bits/8) * 256 Keys.
+  static constexpr std::size_t kMaxTableBytes = std::size_t{256} << 20;
 
   struct ClosedTag {};
   SymmetryGroup(const StateCodec& codec, std::vector<graph::Permutation> all,
                 ClosedTag);
   void build_tables();
   [[nodiscard]] std::uint64_t pack_perm(const graph::Permutation& p) const;
+  /// Row of images_ for key byte b holding value v: element e's image is
+  /// row[e].
+  [[nodiscard]] const Key* image_row(std::uint32_t b,
+                                     std::uint64_t v) const noexcept {
+    return images_.data() + (b * 256 + v) * perms_.size();
+  }
 
   const StateCodec* codec_;
-  std::vector<Elem> elems_;
+  std::vector<graph::Permutation> perms_;
   std::vector<ElemId> inverse_;
   /// compose table (a * size + b) when the group is small enough; empty
   /// otherwise (compose falls back to permutation arithmetic + lookup).
@@ -107,7 +115,14 @@ class SymmetryGroup {
   /// packed permutation -> element id (4 bits per node; n <= 12 holds by
   /// the explorer's enabled-mask limit, checked at construction).
   std::vector<std::pair<std::uint64_t, ElemId>> by_packed_;  ///< sorted
-  std::uint32_t depth_bits_;
+  /// ceil(codec bits / 8): the key bytes the tables cover.
+  std::uint32_t key_bytes_;
+  /// images_[(b * 256 + v) * size() + e]: the destination bits under A_e of
+  /// the bits set in value v at key byte b, before the orientation flips.
+  /// Element-minor, so canonical() reads size() consecutive Keys per byte.
+  std::vector<Key> images_;
+  /// Per element: the orientation bits A_e flips (destination positions).
+  std::vector<Key> flips_;
 };
 
 }  // namespace diners::verify

@@ -5,17 +5,24 @@
 // parent state index, then ascending move) is what a serial BFS produces,
 // so jobs = 1 is the reference and every other jobs value must reproduce
 // it exactly.
+//
+// Comparing two runs of one build cannot catch a change in admission order
+// itself, so box-seeded healthy and demonic graphs are also pinned to
+// golden hashes: an optimization of the explorer or of canonicalization
+// must leave every explored graph bit-identical.
 #include "verify/explorer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/figure2.hpp"
+#include "core/serialize.hpp"
 #include "graph/generators.hpp"
 
 namespace diners::verify {
@@ -151,6 +158,114 @@ TEST(ExplorerDeterminism, Figure2AllMutationsBothModesTruncated) {
       if (mutation == GuardMutation::kNone && !demonic) {
         EXPECT_FALSE(g.complete);
       }
+    }
+  }
+}
+
+/// FNV-1a over everything an exploration decides, field by field (struct
+/// padding never enters): keys, BFS tree with witnesses, enabled masks, CSR
+/// arcs and the layer count. Vector lengths are mixed in too.
+std::uint64_t graph_hash(const StateGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_all = [&mix](const auto& values, int bytes) {
+    mix(values.size(), 8);
+    for (const auto v : values) mix(v, bytes);
+  };
+  mix(g.keys.size(), 8);
+  for (const Key& k : g.keys) {
+    mix(k.lo, 8);
+    mix(k.hi, 8);
+  }
+  mix_all(g.parent, 4);
+  mix_all(g.parent_move, 2);
+  mix_all(g.parent_witness, 2);
+  mix_all(g.enabled, 8);
+  mix_all(g.succ_begin, 4);
+  mix(g.succ.size(), 8);
+  for (const StateGraph::Arc& a : g.succ) {
+    mix(a.to, 4);
+    mix(a.move, 2);
+    mix(a.witness, 2);
+  }
+  mix(g.layers, 4);
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(ExplorerDeterminism, BoxSeededGraphsMatchGoldenHashes) {
+  // Every key of the depth box [0, 2] is a seed; threshold D = 1, so the
+  // cycle-breaking exit (depth > D) fires inside the box. The demonic graph
+  // crashes victim 0 and is seeded with the healthy graph's keys, as
+  // diners_mc's locality check does.
+  const struct {
+    const char* name;
+    graph::Graph topo;
+    bool reduced;  ///< reduce_sym + reduce_por + compact_visited
+    std::uint64_t healthy;
+    std::uint64_t demonic;
+  } cases[] = {
+      {"K3", graph::make_complete(3), false, 0x5ee4a8d633682542,
+       0x5b481247ba939b72},
+      {"star4", graph::make_star(4), false, 0x3609f8d4570ee531,
+       0x3ec6ff29b1047ae1},
+      {"line4", graph::make_path(4), false, 0x045a822f25e4528f,
+       0x0afb2612f2541fb2},
+      {"ring4", graph::make_ring(4), true, 0xcbb5d5a7e7b0cada,
+       0x92695cdc33fb9d2b},
+      {"K3", graph::make_complete(3), true, 0xa166e99477359b09,
+       0xee0c8f9b3306e7af},
+      {"star4", graph::make_star(4), true, 0xcee272c191433f10,
+       0xa83fa4d0f698e666},
+      {"line4", graph::make_path(4), true, 0x425c921bda2ee673,
+       0x1f424fd70aef753e},
+  };
+  for (const auto& c : cases) {
+    core::DinersConfig config;
+    config.diameter_override = 1;
+    DinersSystem prototype(graph::Graph(c.topo), config);
+    for (P p = 0; p < prototype.topology().num_nodes(); ++p) {
+      prototype.set_needs(p, true);
+    }
+    const StateCodec codec(prototype.topology(), 0, 2);
+    std::vector<Key> seeds;
+    seeds.reserve(codec.domain_size());
+    for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
+      seeds.push_back(codec.domain_key(i));
+    }
+    for (const unsigned jobs : {1u, 3u}) {
+      SCOPED_TRACE(std::string(c.name) + (c.reduced ? " sym,por" : "") +
+                   " jobs=" + std::to_string(jobs));
+      Explorer::Options opts;
+      opts.jobs = jobs;
+      opts.reduce_sym = c.reduced;
+      opts.reduce_por = c.reduced;
+      opts.compact_visited = c.reduced;
+      DinersSystem scratch = core::clone(prototype);
+      const StateGraph healthy = Explorer(scratch, codec, opts).explore(seeds);
+      ASSERT_TRUE(healthy.complete);
+      EXPECT_EQ(hex(graph_hash(healthy)), hex(c.healthy));
+
+      DinersSystem crashed = core::clone(prototype);
+      crashed.crash(0);
+      Explorer::Options copts = opts;
+      copts.demon_victim = 0;
+      copts.expected_states = healthy.num_states();
+      const StateGraph demonic =
+          Explorer(crashed, codec, copts).explore(healthy.keys);
+      ASSERT_TRUE(demonic.complete);
+      EXPECT_EQ(hex(graph_hash(demonic)), hex(c.demonic));
     }
   }
 }

@@ -31,13 +31,25 @@ SymmetryGroup make_group(const StateCodec& codec, const graph::Graph& g) {
   return SymmetryGroup(codec, graph::automorphism_generators(g));
 }
 
+/// Uniform keys of the codec's depth box, drawn field by field so that
+/// codecs whose box exceeds domain_size()'s 63 bits work too.
 std::vector<Key> random_domain_keys(const StateCodec& codec, std::size_t count,
                                     std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
+  const graph::Graph& g = codec.topology();
   std::vector<Key> keys;
   keys.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    keys.push_back(codec.domain_key(rng.next() % codec.domain_size()));
+    Key k;
+    for (graph::NodeId p = 0; p < g.num_nodes(); ++p) {
+      key_set_bits(k, codec.state_pos(p), 2, rng.next() % 3);
+      key_set_bits(k, codec.depth_pos(p), codec.depth_field_bits(),
+                   rng.next() % codec.num_depth_values());
+    }
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      key_set_bits(k, codec.edge_pos(e), 1, rng.next() & 1);
+    }
+    keys.push_back(k);
   }
   return keys;
 }
@@ -54,6 +66,9 @@ std::vector<Instance> instances() {
   out.push_back({graph::make_path(4), 2});
   out.push_back({graph::make_star(4), 6});
   out.push_back({graph::make_complete(4), 24});
+  // Codec (0, 12) is 84 bits wide: process 10's field straddles bit 64 and
+  // the edge bits live in the hi word.
+  out.push_back({graph::make_ring(12), 24});
   return out;
 }
 
@@ -153,22 +168,35 @@ TEST(SymmetryGroup, PermuteMoveAndMaskAgree) {
 }
 
 TEST(SymmetryGroup, ApplyCommutesWithDecodeRelabeling) {
-  // Semantic anchor: decoding A_e(k) must equal decoding k and relabeling
-  // the system by pi_e — checked on the per-process state and depth fields.
-  const graph::Graph g = graph::make_ring(5);
-  const StateCodec codec(g, 0, g.num_nodes());
-  const SymmetryGroup grp = make_group(codec, g);
-  core::DinersSystem sys_a(graph::make_ring(5), {});
-  core::DinersSystem sys_b(graph::make_ring(5), {});
-  const auto keys = random_domain_keys(codec, 30, 0xF00Du);
-  for (const Key& k : keys) {
-    for (SymmetryGroup::ElemId e = 0; e < grp.size(); ++e) {
+  // Semantic anchor, independent of the image tables: decoding A_e(k) must
+  // equal decoding k and relabeling the system by pi_e — state and depth
+  // move to pi(p), and the edge {p, q} of A_e(k) is owned by the image of
+  // its owner in k.
+  for (const auto& inst : instances()) {
+    SCOPED_TRACE(inst.graph.describe());
+    const graph::Graph& g = inst.graph;
+    const StateCodec codec(g, 0, g.num_nodes());
+    const SymmetryGroup grp = make_group(codec, g);
+    ASSERT_EQ(codec.bits() > 64, g.num_nodes() == 12);
+    core::DinersSystem sys_a{graph::Graph(g)};
+    core::DinersSystem sys_b{graph::Graph(g)};
+    const auto keys = random_domain_keys(codec, 30, 0xF00Du);
+    for (const Key& k : keys) {
       codec.decode(k, sys_a);
-      codec.decode(grp.apply(e, k), sys_b);
-      for (graph::NodeId p = 0; p < 5; ++p) {
-        const auto q = grp.apply_node(e, p);
-        EXPECT_EQ(sys_b.state(q), sys_a.state(p));
-        EXPECT_EQ(sys_b.depth(q), sys_a.depth(p));
+      for (SymmetryGroup::ElemId e = 0; e < grp.size(); ++e) {
+        codec.decode(grp.apply(e, k), sys_b);
+        for (graph::NodeId p = 0; p < g.num_nodes(); ++p) {
+          const auto q = grp.apply_node(e, p);
+          ASSERT_EQ(sys_b.state(q), sys_a.state(p)) << "element " << e;
+          ASSERT_EQ(sys_b.depth(q), sys_a.depth(p)) << "element " << e;
+        }
+        for (const auto& edge : g.edges()) {
+          ASSERT_EQ(sys_b.priority(grp.apply_node(e, edge.u),
+                                   grp.apply_node(e, edge.v)),
+                    grp.apply_node(e, sys_a.priority(edge.u, edge.v)))
+              << "element " << e << " edge {" << edge.u << ", " << edge.v
+              << "}";
+        }
       }
     }
   }

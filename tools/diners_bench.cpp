@@ -35,7 +35,7 @@
 // Examples:
 //   diners_bench --quick --git-rev=$(git rev-parse --short HEAD)
 //   diners_bench --compare=BENCH_9.json --out=BENCH_10.json
-//   diners_bench --compare=BENCH_10.json --out=BENCH_ci.json \
+//   diners_bench --compare=BENCH_10.json --out=BENCH_ci.json
 //                --soft-match=engine.step.,engine.e1.,service.
 #include <cstdio>
 #include <filesystem>
@@ -399,6 +399,9 @@ void collect_campaign(BenchReport& report, const fs::path& tools_dir,
   }
   if (doc.at("converged").as_number() != doc.at("trials").as_number()) {
     throw DriverError("e1 campaign did not converge; not a perf sample");
+  }
+  if (doc.at("steps_to_i").is_null()) {
+    throw DriverError("e1 campaign: steps-to-I not measured; not a perf sample");
   }
   const auto steps_to_i =
       static_cast<std::uint64_t>(doc.at("steps_to_i").at("mean").as_number());

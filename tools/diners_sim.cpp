@@ -261,10 +261,18 @@ int run_batch_mode(const diners::util::Flags& flags) {
     std::snprintf(buf, sizeof(buf), "%.2f", x);
     return std::string(buf);
   };
+  // steps-to-I is measured on converged trials only; with none converged
+  // there is no measurement to report, not a zero.
+  const bool steps_measured = result.primary.count() > 0;
   diners::util::Table t({"metric", "mean", "stddev", "min", "max"});
-  t.add_row({std::string("steps-to-I"), fmt(result.primary.mean()),
-             fmt(result.primary.stddev()), fmt(result.primary.min()),
-             fmt(result.primary.max())});
+  if (steps_measured) {
+    t.add_row({std::string("steps-to-I"), fmt(result.primary.mean()),
+               fmt(result.primary.stddev()), fmt(result.primary.min()),
+               fmt(result.primary.max())});
+  } else {
+    t.add_row({std::string("steps-to-I"), std::string("not measured"),
+               std::string("-"), std::string("-"), std::string("-")});
+  }
   t.add_row({std::string("meals"), fmt(result.meals.mean()),
              fmt(result.meals.stddev()), fmt(result.meals.min()),
              fmt(result.meals.max())});
@@ -317,7 +325,11 @@ int run_batch_mode(const diners::util::Flags& flags) {
           .field("max", s.max())
           .end_object();
     };
-    stats_object("steps_to_i", result.primary);
+    if (steps_measured) {
+      stats_object("steps_to_i", result.primary);
+    } else {
+      w.key("steps_to_i").null();
+    }
     stats_object("meals", result.meals);
     if (scenario.window_steps > 0) {
       stats_object("starved", result.starved);
