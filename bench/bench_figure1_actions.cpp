@@ -8,7 +8,6 @@
 //   guard_eval/<action>        — one guard evaluation (ring of 64)
 //   engine_step/<n>            — one weakly-fair engine step, steps/s
 //   flat_engine_step/<n>       — the same step on the SoA substrate
-//   flat_engine_sweep/<simd>   — the full guard_block sweep, per process
 //   flat_engine_rebuild/<jobs> — a sharded full enabled-set rebuild
 //   meals_throughput/<n>       — meals per second of simulated execution
 #include <benchmark/benchmark.h>
@@ -17,7 +16,6 @@
 
 #include "core/diners_system.hpp"
 #include "core/flat_engine.hpp"
-#include "core/guard_sweep.hpp"
 #include "graph/generators.hpp"
 #include "runtime/engine.hpp"
 
@@ -120,29 +118,6 @@ BENCHMARK(BM_FlatEngineStep)
     ->Arg(102400)
     ->Arg(1048576)
     ->ArgName("n");
-
-// The SIMD guard sweep in isolation: every guard in the system
-// re-evaluated through guard_block (the rebuild/wide-refresh inner loop),
-// with the backend forced portable (simd:0) or autodetected (simd:1).
-void BM_FlatEngineSweep(benchmark::State& state) {
-  constexpr diners::graph::NodeId n = 102400;
-  const bool simd = state.range(0) != 0;
-  DinersSystem system(make_ring(n), ring_config(n));
-  diners::core::set_sweep_backend(simd
-                                      ? diners::core::SweepBackend::kAuto
-                                      : diners::core::SweepBackend::kPortable);
-  diners::core::GuardBlock gb;
-  for (auto _ : state) {
-    for (diners::graph::NodeId base = 0; base < n; base += 64) {
-      system.guard_block(base, std::min<diners::graph::NodeId>(64, n - base),
-                         gb);
-      benchmark::DoNotOptimize(gb);
-    }
-  }
-  diners::core::set_sweep_backend(diners::core::SweepBackend::kAuto);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_FlatEngineSweep)->Arg(0)->Arg(1)->ArgName("simd");
 
 // One full enabled-set rebuild (the reset_ages path: every guard in the
 // system re-evaluated), sharded across the given worker count.

@@ -37,8 +37,6 @@
 
 namespace diners::core {
 
-struct GuardBlock;
-
 class DinersSystem final : public PhilosopherProgram {
  public:
   using ProcessId = sim::ProcessId;
@@ -97,15 +95,6 @@ class DinersSystem final : public PhilosopherProgram {
   /// like enabled(), guards are a function of the state only; the engine
   /// masks dead processes. Precondition: p < n.
   [[nodiscard]] std::uint32_t guard_mask(ProcessId p) const noexcept;
-
-  /// Block counterpart of guard_mask (core/guard_sweep.hpp): all five
-  /// guards plus the liveness flag of processes [base, base + count) as
-  /// action-major 64-bit lanes — bit j of out.lane[a] = guard a of process
-  /// base + j, bit j of out.alive = alive(base + j); bits >= count are
-  /// zero. Dispatches to the widest supported sweep backend (forceable via
-  /// set_sweep_backend). Preconditions: count <= 64, base + count <= n.
-  void guard_block(ProcessId base, std::uint32_t count,
-                   GuardBlock& out) const noexcept;
 
   /// Applies action `a` of process `p` without evaluating its guard (the
   /// flat engine already knows it is enabled). Identical effect to
@@ -203,13 +192,6 @@ class DinersSystem final : public PhilosopherProgram {
   std::vector<std::uint64_t> meals_;
   std::uint64_t total_meals_ = 0;
   std::size_t dead_count_ = 0;
-};
-
-/// Action-major guard lanes of up to 64 consecutive processes, the output
-/// of DinersSystem::guard_block.
-struct GuardBlock {
-  std::uint64_t lane[DinersSystem::kNumActions];
-  std::uint64_t alive;
 };
 
 }  // namespace diners::core

@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "core/guard_sweep.hpp"
 #include "util/thread_pool.hpp"
 
 namespace diners::core {
@@ -233,20 +232,25 @@ void FlatEngine::sweep_block_words(std::uint32_t block,
   const auto lo = static_cast<sim::ProcessId>(block) << 6;
   const auto cnt =
       static_cast<std::uint32_t>(std::min<sim::ProcessId>(64, n_ - lo));
-  GuardBlock gb;
-  system_.guard_block(lo, cnt, gb);
-  std::uint64_t lanes[kActions];
-  for (std::uint32_t a = 0; a < kActions; ++a) {
-    lanes[a] = gb.lane[a] & gb.alive;  // dead processes execute nothing
+  std::fill(out, out + kActions, 0);
+  for (std::uint32_t j = 0; j < cnt; ++j) {
+    const sim::ProcessId p = lo + j;
+    // Dead processes execute nothing. Process j owns bits 5j..5j+4 of the
+    // block's 320; a group starting above bit 59 of a word straddles into
+    // the next one.
+    const std::uint64_t m = system_.alive(p) ? system_.guard_mask(p) : 0;
+    const std::uint32_t bit = j * kActions;
+    const std::uint32_t off = bit & 63;
+    out[bit >> 6] |= m << off;
+    if (off > 64 - kActions) out[(bit >> 6) + 1] |= m >> (64 - off);
   }
-  spread_guard_lanes(lanes, out);
 }
 
 void FlatEngine::rebuild(bool keep_ages) const {
   // Parallel phase: 64-process blocks (5 * 64 = 320 slots = exactly five
-  // words) sweep guards via guard_block and write their disjoint enabled
-  // words and stamps. Output is a pure function of program state, so it
-  // is bit-identical for every jobs count and partition.
+  // words) sweep guards via sweep_block_words and write their disjoint
+  // enabled words and stamps. Output is a pure function of program state,
+  // so it is bit-identical for every jobs count and partition.
   const auto eval_block = [&](std::size_t block) {
     std::uint64_t w5[kActions];
     sweep_block_words(static_cast<std::uint32_t>(block), w5);

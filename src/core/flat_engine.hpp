@@ -21,9 +21,9 @@
 //    selects by rank, so the other daemons skip the O(log W) update on
 //    every enabled-bit flip — the dominant steady-state cost;
 //  * guards are evaluated five-at-a-time by DinersSystem::guard_mask()
-//    (single branch-light CSR neighborhood pass, no virtual dispatch) on
-//    the per-step dirty path, and 64-processes-at-a-time by the SIMD
-//    guard_block() sweep (core/guard_sweep.hpp) on block sweeps;
+//    (single branch-light CSR neighborhood pass, no virtual dispatch), the
+//    only guard evaluator of this engine: the per-step dirty path diffs one
+//    process's mask, block sweeps pack 64 masks into five words;
 //  * full rebuilds (the initial build, invalidate_all, reset_ages) shard
 //    across a util::TrialPool in 64-process blocks. 5 actions x 64
 //    processes = 320 slots = exactly five 64-bit words, so shards write
@@ -98,8 +98,8 @@ class FlatEngine final : public sim::EngineBase {
   void ensure_fresh() const;
   void rebuild(bool keep_ages) const;
   void refresh_process(sim::ProcessId p) const;
-  /// The five slot-major enabled words of a 64-process block, freshly
-  /// swept via guard_block (dead processes masked out).
+  /// The five slot-major enabled words of a 64-process block, packed from
+  /// per-process guard_mask() (dead processes masked out).
   void sweep_block_words(std::uint32_t block, std::uint64_t* out) const;
   /// Block-sharded refresh of the dirty set (the wide in-step path).
   void wide_refresh() const;

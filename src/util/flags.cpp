@@ -55,7 +55,6 @@ bool Flags::parse(int argc, const char* const* argv) {
       std::cerr << "flag --" << body << " expects a value\n";
       return false;
     }
-    provided_.insert(body);
   }
   return true;
 }

@@ -8,7 +8,6 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,13 +44,6 @@ class Flags {
       std::uint32_t hi = std::numeric_limits<std::uint32_t>::max()) const;
   [[nodiscard]] bool flag(const std::string& name) const;
 
-  /// True iff the flag appeared on the parsed command line (as opposed to
-  /// holding its default). Lets tools warn on deprecated aliases and
-  /// resolve explicit-beats-alias conflicts.
-  [[nodiscard]] bool provided(const std::string& name) const {
-    return provided_.count(name) != 0;
-  }
-
   /// Non-flag positional arguments, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
@@ -65,7 +57,6 @@ class Flags {
     std::string help;
   };
   std::map<std::string, Entry> entries_;
-  std::set<std::string> provided_;
   std::vector<std::string> positional_;
 };
 

@@ -160,6 +160,22 @@ TEST(FlatEngineDifferential, GnpWithGlobalCorruptionAndCrash) {
   for (const auto* daemon : kDaemons) {
     expect_identical_traces(g, daemon, faults, 3000);
   }
+  // Every reset_ages rebuild packs guard masks 64 processes at a time, so
+  // these sizes pin the block sweep against enabled(): n < 64, exact block
+  // boundaries, one-process tails and ragged multi-block tails, each with a
+  // dead process mid-range and one in the last block.
+  for (const graph::NodeId n :
+       {3u, 7u, 61u, 64u, 65u, 100u, 127u, 128u, 192u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    const auto gn = graph::make_connected_gnp(n, 0.15, /*seed=*/n);
+    FaultSchedule sized;
+    sized.corrupt_at = 300;
+    sized.crashes = {fault::CrashEvent{500, n / 2, 12},
+                     fault::CrashEvent{800, n - 1, 0}};
+    for (const auto* daemon : kDaemons) {
+      expect_identical_traces(gn, daemon, sized, 3000);
+    }
+  }
 }
 
 TEST(FlatEngineDifferential, RingWithCrashRestartRejoin) {

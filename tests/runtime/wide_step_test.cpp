@@ -1,15 +1,8 @@
 // Differential battery for the wide stepping path (DESIGN.md §11):
-//
-//  * DinersSystem::guard_block — the SIMD block sweep — is fuzz-pinned
-//    bit-identical to the scalar guard_mask() on every backend this
-//    machine supports, across corrupted states, dead processes, partial
-//    tail blocks, and n < 64 edge cases;
-//  * spread_guard_lanes (BMI2 pdep or portable) is pinned against the
-//    portable reference and the positional definition;
-//  * FlatEngine traces stay byte-identical to the object-model oracle for
-//    every step_jobs value, under malicious crashes, global corruption,
-//    and crash-restart rejoin — including topologies (stars) whose every
-//    step takes the block-sharded wide-refresh path.
+// FlatEngine traces stay byte-identical to the object-model oracle for
+// every step_jobs value, under malicious crashes, global corruption, and
+// crash-restart rejoin — including topologies (stars) whose every step
+// takes the block-sharded wide-refresh path.
 //
 // Test names include "FlatEngine" so the TSan CI job's regex picks the
 // sharded runs up under the race detector.
@@ -23,7 +16,6 @@
 
 #include "core/diners_system.hpp"
 #include "core/flat_engine.hpp"
-#include "core/guard_sweep.hpp"
 #include "fault/injector.hpp"
 #include "graph/generators.hpp"
 #include "runtime/daemon.hpp"
@@ -32,124 +24,6 @@
 
 namespace diners::core {
 namespace {
-
-/// Everything this machine can run guard_block on (portable always;
-/// AVX2/NEON when set_sweep_backend accepts them).
-std::vector<SweepBackend> supported_backends() {
-  std::vector<SweepBackend> backends{SweepBackend::kPortable};
-  for (const SweepBackend b : {SweepBackend::kAvx2, SweepBackend::kNeon}) {
-    try {
-      set_sweep_backend(b);
-      backends.push_back(b);
-    } catch (const std::invalid_argument&) {
-    }
-  }
-  set_sweep_backend(SweepBackend::kAuto);
-  return backends;
-}
-
-/// Restores autodetection even when an assertion bails out of a test.
-struct BackendGuard {
-  ~BackendGuard() { set_sweep_backend(SweepBackend::kAuto); }
-};
-
-// --- guard_block vs scalar guard_mask -------------------------------------
-
-TEST(FlatEngineGuardSweep, BlockMatchesGuardMaskOnEveryBackend) {
-  // Sizes cover n < 64, exact blocks, straddling tails one past a block,
-  // and multi-block ranges with non-multiple-of-64 tails.
-  const std::uint32_t sizes[] = {3, 7, 61, 64, 65, 100, 127, 128, 192};
-  BackendGuard restore;
-  for (const SweepBackend backend : supported_backends()) {
-    set_sweep_backend(backend);
-    ASSERT_EQ(active_sweep_backend(), backend);
-    for (const std::uint32_t n : sizes) {
-      DinersSystem system(graph::make_connected_gnp(n, 0.15, /*seed=*/n));
-      util::Xoshiro256 rng(util::derive_seed(n, 7));
-      for (int round = 0; round < 20; ++round) {
-        fault::corrupt_global_state(system, rng);
-        // Corrupt liveness too: kill a couple of processes mid-fuzz so the
-        // alive lane is exercised (crash is sticky, so only on round 5).
-        if (round == 5) {
-          system.crash(n / 2);
-          system.crash(n - 1);
-        }
-        for (std::uint32_t base = 0; base < n; base += 64) {
-          const std::uint32_t count = std::min<std::uint32_t>(64, n - base);
-          GuardBlock gb;
-          system.guard_block(base, count, gb);
-          for (std::uint32_t j = 0; j < count; ++j) {
-            const DinersSystem::ProcessId p = base + j;
-            const std::uint32_t mask = system.guard_mask(p);
-            for (std::uint32_t a = 0; a < DinersSystem::kNumActions; ++a) {
-              ASSERT_EQ((gb.lane[a] >> j) & 1u,
-                        static_cast<std::uint64_t>((mask >> a) & 1u))
-                  << "backend " << to_string(backend) << " n " << n
-                  << " round " << round << " process " << p << " action "
-                  << a;
-            }
-            ASSERT_EQ((gb.alive >> j) & 1u,
-                      static_cast<std::uint64_t>(system.alive(p) ? 1 : 0))
-                << "backend " << to_string(backend) << " n " << n
-                << " process " << p;
-          }
-          // Bits at and above count must be zero in every lane.
-          if (count < 64) {
-            const std::uint64_t tail = ~0ULL << count;
-            for (std::uint32_t a = 0; a < DinersSystem::kNumActions; ++a) {
-              ASSERT_EQ(gb.lane[a] & tail, 0u)
-                  << "backend " << to_string(backend) << " n " << n;
-            }
-            ASSERT_EQ(gb.alive & tail, 0u);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(FlatEngineGuardSweep, BackendControlRejectsUnsupported) {
-  BackendGuard restore;
-  // At most one of AVX2/NEON exists on any one machine; the other must be
-  // rejected, not silently accepted.
-#if defined(__x86_64__) || defined(_M_X64)
-  EXPECT_THROW(set_sweep_backend(SweepBackend::kNeon), std::invalid_argument);
-#endif
-#if defined(__aarch64__)
-  EXPECT_THROW(set_sweep_backend(SweepBackend::kAvx2), std::invalid_argument);
-#endif
-  set_sweep_backend(SweepBackend::kPortable);
-  EXPECT_EQ(active_sweep_backend(), SweepBackend::kPortable);
-  set_sweep_backend(SweepBackend::kAuto);
-  EXPECT_NE(active_sweep_backend(), SweepBackend::kAuto);  // resolved
-}
-
-// --- lane spread -----------------------------------------------------------
-
-TEST(FlatEngineGuardSweep, SpreadInterleavesLanesExactly) {
-  util::Xoshiro256 rng(1234);
-  for (int round = 0; round < 200; ++round) {
-    std::uint64_t lanes[DinersSystem::kNumActions];
-    for (auto& lane : lanes) lane = rng.next();
-    std::uint64_t dispatched[DinersSystem::kNumActions];
-    std::uint64_t portable[DinersSystem::kNumActions];
-    spread_guard_lanes(lanes, dispatched);
-    spread_guard_lanes_portable(lanes, portable);
-    for (std::uint32_t w = 0; w < DinersSystem::kNumActions; ++w) {
-      ASSERT_EQ(dispatched[w], portable[w]) << "word " << w;
-    }
-    // Positional definition: bit 5j + a of the 320-bit output equals bit j
-    // of lane a.
-    for (std::uint32_t j = 0; j < 64; ++j) {
-      for (std::uint32_t a = 0; a < DinersSystem::kNumActions; ++a) {
-        const std::uint32_t pos = DinersSystem::kNumActions * j + a;
-        ASSERT_EQ((dispatched[pos >> 6] >> (pos & 63)) & 1u,
-                  (lanes[a] >> j) & 1u)
-            << "j " << j << " a " << a;
-      }
-    }
-  }
-}
 
 // --- step_jobs trace invariance -------------------------------------------
 
@@ -264,28 +138,6 @@ TEST(FlatEngineWideStep, SmallGnpStepJobsMatchObjectEngine) {
   faults.corrupt_at = 600;
   faults.restart_at = 1200;
   expect_step_jobs_invariant(g, faults, 2500);
-}
-
-TEST(FlatEngineWideStep, SweepBackendDoesNotChangeTraces) {
-  // The same corrupted star run, portable vs every SIMD backend: rebuilds
-  // and wide refreshes both route through guard_block, so a backend
-  // disagreement would surface as a trace divergence.
-  const auto g = graph::make_star(300);
-  FaultSchedule faults;
-  faults.corrupt_at = 500;
-  BackendGuard restore;
-  for (const auto* daemon : kDaemons) {
-    set_sweep_backend(SweepBackend::kPortable);
-    const auto portable =
-        run_diners(g, daemon, faults, 2000, sim::EngineKind::kFlat, 4);
-    for (const SweepBackend backend : supported_backends()) {
-      set_sweep_backend(backend);
-      const auto other =
-          run_diners(g, daemon, faults, 2000, sim::EngineKind::kFlat, 4);
-      ASSERT_EQ(portable, other)
-          << "daemon " << daemon << " backend " << to_string(backend);
-    }
-  }
 }
 
 TEST(FlatEngineWideStep, RejectsZeroStepJobs) {

@@ -24,17 +24,6 @@ TEST(Flags, DefaultsApply) {
   EXPECT_EQ(f.str("daemon"), "round-robin");
 }
 
-TEST(Flags, ProvidedTracksExplicitFlagsOnly) {
-  Flags f = standard_flags();
-  const char* argv[] = {"prog", "--n=32", "--verbose"};
-  ASSERT_FALSE(f.provided("n"));
-  ASSERT_TRUE(f.parse(3, argv));
-  EXPECT_TRUE(f.provided("n"));
-  EXPECT_TRUE(f.provided("verbose"));
-  EXPECT_FALSE(f.provided("rate"));
-  EXPECT_FALSE(f.provided("daemon"));
-}
-
 TEST(Flags, EqualsSyntax) {
   Flags f = standard_flags();
   const char* argv[] = {"prog", "--n=32", "--daemon=random"};

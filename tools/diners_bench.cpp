@@ -5,8 +5,7 @@
 // (analysis/perf_trajectory.hpp documents the schema):
 //
 //   engine    BM_EngineStep[FullScan] n=64/192, BM_FlatEngineStep
-//             n=192/1k/10k/100k/1M and the BM_FlatEngineSweep SIMD
-//             guard-sweep rows (bench_figure1_actions,
+//             n=192/1k/10k/100k/1M (bench_figure1_actions,
 //             --benchmark_format json)           -> ns/step, peak RSS
 //   campaign  diners_sim --engine=flat ring n=10^6 corrupted start
 //             to invariant I (the E1 protocol at full scale)
@@ -139,18 +138,15 @@ const JsonValue& gbench_entry(const JsonValue& doc, const std::string& name) {
 // --- metric collectors -----------------------------------------------------
 
 /// Engine ns/step: the object engine at n=64/192 (incremental vs the
-/// pinned full-scan reference), the flat SoA substrate from n=192 up to
-/// n=10^6, and the guard_block sweep in isolation (portable vs SIMD).
-/// Sweep rows report ns per process (gbench times one full-system sweep);
-/// large-n flat rows carry the measured peak RSS as a param so memory
-/// growth is visible in the trajectory even though only time gates.
+/// pinned full-scan reference) and the flat SoA substrate from n=192 up to
+/// n=10^6. Large-n flat rows carry the measured peak RSS as a param so
+/// memory growth is visible in the trajectory even though only time gates.
 void collect_engine(BenchReport& report, const fs::path& bench_dir,
                     const fs::path& workdir) {
   const fs::path out = workdir / "engine.json";
   run_checked(shq((bench_dir / "bench_figure1_actions").string()) +
               " --benchmark_filter='^(BM_EngineStep(FullScan)?/n:(64|192)"
-              "|BM_FlatEngineStep/n:(192|1024|10240|102400|1048576)"
-              "|BM_FlatEngineSweep/simd:(0|1))$'"
+              "|BM_FlatEngineStep/n:(192|1024|10240|102400|1048576))$'"
               " --benchmark_out_format=json --benchmark_out=" +
               shq(out.string()) + " >&2");
   const JsonValue doc = diners::util::parse_json(read_file(out));
@@ -159,31 +155,26 @@ void collect_engine(BenchReport& report, const fs::path& bench_dir,
     const char* metric;
     const char* n;
     const char* scan;
-    double per_items;  // divide real_time by this (1 = already per step)
-    bool rss;          // attach the max_rss_bytes counter as a param
+    bool rss;  // attach the max_rss_bytes counter as a param
   } rows[] = {
       {"BM_EngineStep/n:64", "engine.step.n64.incremental", "64",
-       "incremental", 1, false},
+       "incremental", false},
       {"BM_EngineStep/n:192", "engine.step.n192.incremental", "192",
-       "incremental", 1, false},
+       "incremental", false},
       {"BM_EngineStepFullScan/n:64", "engine.step.n64.fullscan", "64",
-       "fullscan", 1, false},
+       "fullscan", false},
       {"BM_EngineStepFullScan/n:192", "engine.step.n192.fullscan", "192",
-       "fullscan", 1, false},
-      {"BM_FlatEngineStep/n:192", "engine.step.n192.flat", "192", "flat", 1,
+       "fullscan", false},
+      {"BM_FlatEngineStep/n:192", "engine.step.n192.flat", "192", "flat",
        false},
-      {"BM_FlatEngineStep/n:1024", "engine.step.n1k.flat", "1024", "flat", 1,
+      {"BM_FlatEngineStep/n:1024", "engine.step.n1k.flat", "1024", "flat",
        false},
       {"BM_FlatEngineStep/n:10240", "engine.step.n10k.flat", "10240", "flat",
-       1, false},
+       false},
       {"BM_FlatEngineStep/n:102400", "engine.step.n100k.flat", "102400",
-       "flat", 1, true},
+       "flat", true},
       {"BM_FlatEngineStep/n:1048576", "engine.step.n1M.flat", "1048576",
-       "flat", 1, true},
-      {"BM_FlatEngineSweep/simd:0", "engine.step.n100k.flat.sweep", "102400",
-       "sweep-portable", 102400, false},
-      {"BM_FlatEngineSweep/simd:1", "engine.step.n100k.flat.simd", "102400",
-       "sweep-simd", 102400, false},
+       "flat", true},
   };
   for (const auto& row : rows) {
     const JsonValue& entry = gbench_entry(doc, row.bench);
@@ -192,8 +183,8 @@ void collect_engine(BenchReport& report, const fs::path& bench_dir,
     }
     BenchMetric m;
     m.name = row.metric;
-    m.value = entry.at("real_time").as_number() / row.per_items;
-    m.unit = row.per_items == 1 ? "ns/step" : "ns/process";
+    m.value = entry.at("real_time").as_number();
+    m.unit = "ns/step";
     m.higher_is_better = false;
     m.params = {{"n", row.n}, {"scan", row.scan}, {"topology", "ring"}};
     if (row.rss) {

@@ -44,6 +44,7 @@
 #include "core/figure2.hpp"
 #include "core/serialize.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/automorphisms.hpp"
 #include "graph/generators.hpp"
 #include "util/flags.hpp"
 #include "util/json_writer.hpp"
@@ -314,9 +315,30 @@ int run_exhaustive(const diners::util::Flags& flags,
   std::vector<verify::Key> seeds;
   if (seeds_mode == "box") {
     const std::uint64_t total = codec.domain_size();
-    if (total > max_states) {
+    // Under sym, --max-states counts canonical states. An orbit holds at
+    // most |G| box states (orbit-stabilizer), so the quotient holds at least
+    // total / |G|: refuse only when even that bound exceeds the cap. No
+    // group the explorer accepts exceeds kMaxElements, so a box too big
+    // for that is refused without building the group.
+    std::uint64_t group_order = 1;
+    if (reduce.sym && total > max_states &&
+        total <= std::uint64_t{max_states} *
+                     verify::SymmetryGroup::kMaxElements) {
+      group_order =
+          verify::SymmetryGroup(
+              codec, diners::graph::automorphism_generators(
+                         prototype.topology()))
+              .size();
+    }
+    if (total > max_states * group_order) {
       std::cout << "INCONCLUSIVE: arbitrary-start box has " << total
-                << " states > --max-states=" << max_states << "\n";
+                << " states";
+      if (group_order > 1) {
+        std::cout << ", at least " << (total + group_order - 1) / group_order
+                  << " canonical (symmetry group of order " << group_order
+                  << ")";
+      }
+      std::cout << " > --max-states=" << max_states << "\n";
       return kInconclusive;
     }
     seeds.reserve(total);

@@ -76,28 +76,6 @@ diners::sim::EngineKind parse_engine(const std::string& name) {
   throw UsageError("unknown engine: " + name + " (object | flat)");
 }
 
-struct EngineJobs {
-  unsigned rebuild = 1;
-  unsigned step = 1;
-};
-
-/// Resolves --rebuild-jobs / --step-jobs, honoring the deprecated
-/// --engine-jobs alias (it historically named the rebuild shards; an
-/// explicit --rebuild-jobs wins over the alias).
-EngineJobs parse_engine_jobs(const diners::util::Flags& flags) {
-  EngineJobs jobs;
-  jobs.rebuild = flags.u32("rebuild-jobs", 1);
-  jobs.step = flags.u32("step-jobs", 1);
-  if (flags.provided("engine-jobs")) {
-    std::cerr << "warning: --engine-jobs is deprecated; use --rebuild-jobs "
-                 "(full-rebuild shards) and --step-jobs (in-step shards)\n";
-    if (!flags.provided("rebuild-jobs")) {
-      jobs.rebuild = flags.u32("engine-jobs", 1);
-    }
-  }
-  return jobs;
-}
-
 /// Peak resident set of this process, in bytes (Linux ru_maxrss is KiB).
 std::uint64_t peak_rss_bytes() {
   struct rusage ru{};
@@ -144,9 +122,8 @@ int run_diners(const diners::util::Flags& flags) {
   options.daemon = flags.str("daemon");
   options.seed = seed;
   options.engine_kind = parse_engine(flags.str("engine"));
-  const EngineJobs engine_jobs = parse_engine_jobs(flags);
-  options.rebuild_jobs = engine_jobs.rebuild;
-  options.step_jobs = engine_jobs.step;
+  options.rebuild_jobs = flags.u32("rebuild-jobs", 1);
+  options.step_jobs = flags.u32("step-jobs", 1);
   std::unique_ptr<diners::fault::Workload> workload;
   if (flags.str("workload") != "none") {
     workload = diners::fault::make_workload(flags.str("workload"), seed);
@@ -224,9 +201,8 @@ int run_batch_mode(const diners::util::Flags& flags) {
   scenario.window_steps = flags.u64("window");
   scenario.check_every = flags.u64("check-every", 1);
   scenario.engine_kind = parse_engine(flags.str("engine"));
-  const EngineJobs engine_jobs = parse_engine_jobs(flags);
-  scenario.rebuild_jobs = engine_jobs.rebuild;
-  scenario.step_jobs = engine_jobs.step;
+  scenario.rebuild_jobs = flags.u32("rebuild-jobs", 1);
+  scenario.step_jobs = flags.u32("step-jobs", 1);
 
   // Validate user input against a probe topology (seeded families resample
   // per trial, but the node count is seed-independent for every family).
@@ -437,8 +413,6 @@ int main(int argc, char** argv) {
       .define("step-jobs", "1",
               "flat-engine wide in-step refresh shards (results identical "
               "at any value)")
-      .define("engine-jobs", "1",
-              "DEPRECATED alias for --rebuild-jobs")
       .define("json", "",
               "sweep mode: also write a diners-sim-batch/v1 JSON report "
               "to this path")
