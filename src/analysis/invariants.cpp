@@ -25,9 +25,10 @@ bool flat_nc_st(const DinersSystem& system, bool shallow) {
       if (system.alive(p) && system.depth(p) > d) return false;
     }
   }
-  const std::uint32_t* offsets = system.csr().offsets();
-  const graph::NodeId* nbrs = system.csr().neighbors();
-  const graph::EdgeId* eids = system.csr().edge_ids();
+  const graph::Graph& g = system.topology();
+  const std::uint32_t* offsets = g.raw_offsets();
+  const graph::NodeId* nbrs = g.raw_neighbors();
+  const graph::EdgeId* eids = g.raw_edge_ids();
   std::vector<std::uint32_t> indegree(n, 0);  // live direct ancestors
   std::vector<std::uint32_t> chain(n, 1);     // l:p, final once p pops
   std::vector<ProcessId> queue(n);

@@ -19,7 +19,6 @@ DinersSystem::DinersSystem(graph::Graph g, DinersConfig config)
   }
   d_ = config_.diameter_override ? *config_.diameter_override
                                  : graph::diameter(graph_);
-  csr_ = graph::CsrView(graph_);
   const auto n = graph_.num_nodes();
   states_.assign(n, DinerState::kThinking);
   depths_.assign(n, 0);
@@ -168,9 +167,9 @@ std::uint32_t DinersSystem::guard_mask(ProcessId p) const noexcept {
   bool desc_eating = false;
   bool has_desc = false;
   std::int64_t maxd = std::numeric_limits<std::int64_t>::min();
-  const std::uint32_t* offsets = csr_.offsets();
-  const graph::NodeId* nbrs = csr_.neighbors();
-  const graph::EdgeId* eids = csr_.edge_ids();
+  const std::uint32_t* offsets = graph_.raw_offsets();
+  const graph::NodeId* nbrs = graph_.raw_neighbors();
+  const graph::EdgeId* eids = graph_.raw_edge_ids();
   for (std::uint32_t i = offsets[p], end = offsets[p + 1]; i != end; ++i) {
     const ProcessId q = nbrs[i];
     const bool desc = priority_[eids[i]] == p;

@@ -31,7 +31,6 @@
 #include "core/philosopher_program.hpp"
 #include "core/state.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "runtime/program.hpp"
 
@@ -80,11 +79,8 @@ class DinersSystem final : public PhilosopherProgram {
   // pass computes every guard of a process at once, and apply_action writes
   // an action's effect without re-checking its guard.
 
-  /// Packed CSR adjacency, index-aligned (neighbor, edge id) pairs; same
-  /// iteration order as topology().neighbors()/incident_edges().
-  [[nodiscard]] const graph::CsrView& csr() const noexcept { return csr_; }
-
-  /// priority(p, q) by edge id, unchecked, for loops over csr().edge_ids().
+  /// priority(p, q) by edge id, unchecked, for loops over
+  /// topology().raw_edge_ids().
   /// Precondition: e < topology().num_edges().
   [[nodiscard]] ProcessId edge_priority(graph::EdgeId e) const noexcept {
     return priority_[e];
@@ -177,7 +173,6 @@ class DinersSystem final : public PhilosopherProgram {
   [[nodiscard]] std::int64_t max_descendant_depth(ProcessId p) const;
 
   graph::Graph graph_;
-  graph::CsrView csr_;
   DinersConfig config_;
   std::uint32_t d_;  ///< the constant D of Figure 1
 

@@ -457,7 +457,7 @@ std::optional<sim::StepRecord> FlatEngine::step() {
 
   // Defer N[p]'s guard re-evaluation to the next ensure_fresh().
   dirty_.push_back(p);
-  const auto nbrs = system_.csr().neighbors_of(p);
+  const auto nbrs = system_.topology().neighbors(p);
   dirty_.insert(dirty_.end(), nbrs.begin(), nbrs.end());
 
   for (const auto& observer : observers_) observer(record);

@@ -21,9 +21,10 @@
 //    selects by rank, so the other daemons skip the O(log W) update on
 //    every enabled-bit flip — the dominant steady-state cost;
 //  * guards are evaluated five-at-a-time by DinersSystem::guard_mask()
-//    (single branch-light CSR neighborhood pass, no virtual dispatch), the
-//    only guard evaluator of this engine: the per-step dirty path diffs one
-//    process's mask, block sweeps pack 64 masks into five words;
+//    (single branch-light pass over the topology's own CSR row, no
+//    virtual dispatch), the only guard evaluator of this engine: the
+//    per-step dirty path diffs one process's mask, block sweeps pack 64
+//    masks into five words;
 //  * full rebuilds (the initial build, invalidate_all, reset_ages) shard
 //    across a util::TrialPool in 64-process blocks. 5 actions x 64
 //    processes = 320 slots = exactly five 64-bit words, so shards write

@@ -1,6 +1,7 @@
 #include "graph/generators.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 namespace diners::graph {
 
@@ -85,13 +86,16 @@ Graph make_connected_gnp(NodeId n, double p, std::uint64_t seed) {
   Graph::Builder b(n);
   util::Xoshiro256 rng(seed);
   // Random attachment spanning tree guarantees connectivity...
+  std::vector<NodeId> parent(n, kNoNode);
   for (NodeId i = 1; i < n; ++i) {
-    b.add_edge(static_cast<NodeId>(rng.below(i)), i);
+    parent[i] = static_cast<NodeId>(rng.below(i));
+    b.add_edge(parent[i], i);
   }
-  // ...then each non-tree pair independently with probability p.
+  // ...then each non-tree pair independently with probability p. Tree edge
+  // {parent[j], j} is the only pair (i, j), i < j, already present.
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j) {
-      if (!b.has_edge(i, j) && rng.chance(p)) b.add_edge(i, j);
+      if (parent[j] != i && rng.chance(p)) b.add_edge(i, j);
     }
   }
   return std::move(b).build();

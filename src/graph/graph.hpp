@@ -3,10 +3,17 @@
 // Nodes are dense ids [0, n). Each undirected edge additionally carries a
 // dense edge id, which the diners runtimes use to address the shared
 // `priority` variable that each pair of neighbors maintains.
+//
+// The adjacency is stored once, in CSR (compressed sparse row) form: row u
+// of the flat neighbor array holds u's neighbors in ascending order, and the
+// edge-id array is aligned with it index-for-index. Every layer — the
+// generic engine, the flat engine's guard pass, the invariant oracle, the
+// fault injector and the model checker — reads the same arrays.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,8 +37,10 @@ struct Edge {
 /// Immutable-after-build undirected simple graph.
 ///
 /// Built via Builder (or the generators in generators.hpp). Self-loops and
-/// parallel edges are rejected. Neighbor lists are sorted by node id, which
-/// makes iteration deterministic everywhere downstream.
+/// parallel edges are rejected. Edge ids are positions in the
+/// lexicographically sorted edge list, and neighbor rows are sorted by node
+/// id, so both are independent of insertion order and iteration is
+/// deterministic everywhere downstream.
 class Graph {
  public:
   class Builder {
@@ -39,38 +48,47 @@ class Graph {
     explicit Builder(NodeId num_nodes);
 
     /// Adds the undirected edge {u, v}. Throws std::invalid_argument on
-    /// self-loops, out-of-range endpoints, or duplicate edges.
+    /// self-loops and out-of-range endpoints; duplicates are detected by
+    /// build().
     Builder& add_edge(NodeId u, NodeId v);
 
-    [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
+    /// O(n + m) CSR construction. Throws std::invalid_argument if an edge
+    /// was added twice (in either orientation).
     [[nodiscard]] Graph build() &&;
 
    private:
     NodeId num_nodes_;
-    std::vector<Edge> edges_;
-    std::vector<std::vector<NodeId>> adjacency_;
+    std::vector<Edge> edges_;  ///< normalized u < v, insertion order
   };
 
+  /// An empty (or moved-from) graph has 0 nodes.
   [[nodiscard]] NodeId num_nodes() const noexcept {
-    return static_cast<NodeId>(adjacency_.size());
+    return offsets_.empty() ? 0 : static_cast<NodeId>(offsets_.size() - 1);
   }
   [[nodiscard]] EdgeId num_edges() const noexcept {
     return static_cast<EdgeId>(edges_.size());
   }
 
-  /// Sorted neighbor list of `u`.
-  [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId u) const {
-    return adjacency_.at(u);
+  /// Sorted neighbor list of `u`. Throws std::out_of_range on a bad `u`.
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const {
+    const std::uint32_t begin = row_begin(u);
+    return {neighbors_.data() + begin, offsets_[u + 1] - begin};
+  }
+
+  /// Edge ids incident to `u`, aligned index-for-index with neighbors(u).
+  [[nodiscard]] std::span<const EdgeId> incident_edges(NodeId u) const {
+    const std::uint32_t begin = row_begin(u);
+    return {edge_ids_.data() + begin, offsets_[u + 1] - begin};
   }
 
   [[nodiscard]] std::size_t degree(NodeId u) const {
-    return adjacency_.at(u).size();
+    const std::uint32_t begin = row_begin(u);
+    return offsets_[u + 1] - begin;
   }
 
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
-  /// Dense id of edge {u, v}; kNoEdge if absent.
+  /// Dense id of edge {u, v}; kNoEdge if absent. O(log degree(u)).
   [[nodiscard]] EdgeId edge_index(NodeId u, NodeId v) const;
 
   /// Edge by id, endpoints normalized u < v.
@@ -80,21 +98,34 @@ class Graph {
     return edges_;
   }
 
-  /// Edge ids incident to `u`, aligned index-for-index with neighbors(u).
-  [[nodiscard]] const std::vector<EdgeId>& incident_edges(NodeId u) const {
-    return incident_.at(u);
+  /// Raw CSR arrays for index-based hot loops, unchecked: row u of
+  /// raw_neighbors()/raw_edge_ids() is [raw_offsets()[u],
+  /// raw_offsets()[u + 1]).
+  [[nodiscard]] const std::uint32_t* raw_offsets() const noexcept {
+    return offsets_.data();
+  }
+  [[nodiscard]] const NodeId* raw_neighbors() const noexcept {
+    return neighbors_.data();
+  }
+  [[nodiscard]] const EdgeId* raw_edge_ids() const noexcept {
+    return edge_ids_.data();
   }
 
   /// Human-readable summary, e.g. "Graph(n=7, m=8)".
   [[nodiscard]] std::string describe() const;
 
  private:
-  friend class Builder;
-  Graph(std::vector<Edge> edges, std::vector<std::vector<NodeId>> adjacency);
+  Graph() = default;
 
-  std::vector<Edge> edges_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  std::vector<std::vector<EdgeId>> incident_;
+  [[nodiscard]] std::uint32_t row_begin(NodeId u) const {
+    if (u >= num_nodes()) throw std::out_of_range("Graph: node out of range");
+    return offsets_[u];
+  }
+
+  std::vector<Edge> edges_;             ///< lexicographic; id = position
+  std::vector<std::uint32_t> offsets_;  ///< size n + 1
+  std::vector<NodeId> neighbors_;       ///< size 2m, each row sorted
+  std::vector<EdgeId> edge_ids_;        ///< aligned with neighbors_
 };
 
 }  // namespace diners::graph

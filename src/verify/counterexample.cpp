@@ -285,6 +285,7 @@ LoadedCounterexample read_counterexample(std::istream& is) {
         static_cast<graph::NodeId>(to_i64(rec[2 + 2 * e], "edge endpoint")),
         static_cast<graph::NodeId>(to_i64(rec[3 + 2 * e], "edge endpoint")));
   }
+  graph::Graph g = std::move(builder).build();
 
   rec = next_record(is);
   expect(rec.size() == 7 && rec[0] == "config" && rec[1] == "D" &&
@@ -313,7 +314,6 @@ LoadedCounterexample read_counterexample(std::istream& is) {
   cex.stem_length = static_cast<std::size_t>(to_i64(rec[3], "stem length"));
   expect(cex.stem_length <= total, "events");
 
-  graph::Graph g = std::move(builder).build();
   for (std::size_t i = 0; i < total; ++i) {
     rec = next_record(is);
     CexEvent e;

@@ -86,6 +86,17 @@ TEST(CexIo, MalformedInputsThrowWithTheOffendingLine) {
   std::stringstream ss;
   write_counterexample(ss, s.topology(), s.config(), cex);
   std::string text = ss.str();
+  // Hostile topologies in an otherwise valid file: an edge repeated in the
+  // same orientation or reversed, a self-loop, an out-of-range endpoint.
+  const std::string edges = "edges 2 0 1 1 2";
+  ASSERT_NE(text.find(edges), std::string::npos);
+  for (const std::string hostile :
+       {"edges 3 0 1 1 2 0 1", "edges 3 0 1 1 2 2 1", "edges 2 0 1 1 1",
+        "edges 2 0 1 1 3"}) {
+    std::string bad = text;
+    bad.replace(bad.find(edges), edges.size(), hostile);
+    EXPECT_THROW(parse(bad), std::invalid_argument) << hostile;
+  }
   text.resize(text.rfind("action"));
   EXPECT_THROW(parse(text), std::invalid_argument);
 }
