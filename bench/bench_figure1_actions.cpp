@@ -26,8 +26,8 @@ using diners::core::FlatEngine;
 using diners::graph::make_ring;
 
 /// Peak resident set in bytes (Linux ru_maxrss is KiB). Recorded on the
-/// large-n engine rows so memory regressions gate alongside time; sizes
-/// ascend within a binary run, so peak-so-far tracks the current size.
+/// large-n engine rows so memory shows alongside time; sizes ascend
+/// within a binary run, so peak-so-far tracks the current size.
 double peak_rss_bytes() {
   struct rusage ru{};
   getrusage(RUSAGE_SELF, &ru);

@@ -28,14 +28,20 @@ void write_campaign_json(std::ostream& os, const CampaignOptions& options,
   w.field("restarts", result.restarts);
   w.field("corruptions", result.corruptions);
   if (deterministic) {
+    // With no recovered round there are no steps to summarize: null, not
+    // a zero-step recovery that never happened.
     const auto& acc = result.recovery_steps;
-    w.key("recovery_steps").begin_object();
-    w.field("count", acc.count());
-    w.field("mean", acc.mean());
-    w.field("stddev", acc.stddev());
-    w.field("min", acc.min());
-    w.field("max", acc.max());
-    w.end_object();
+    if (acc.count() == 0) {
+      w.key("recovery_steps").null();
+    } else {
+      w.key("recovery_steps").begin_object();
+      w.field("count", acc.count());
+      w.field("mean", acc.mean());
+      w.field("stddev", acc.stddev());
+      w.field("min", acc.min());
+      w.field("max", acc.max());
+      w.end_object();
+    }
     w.field("meals", result.total_meals);
   }
   if (msg) {

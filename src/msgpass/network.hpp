@@ -62,8 +62,11 @@ struct FaultModel {
 /// messages from edge.u to edge.v; direction 1 the reverse.
 class Network {
  public:
+  /// Keeps a reference to `g`, which must outlive the network.
   explicit Network(const graph::Graph& g, FaultModel model = {},
                    std::uint64_t fault_seed = 0);
+  /// A temporary graph would dangle once the constructor returns.
+  Network(graph::Graph&&, FaultModel = {}, std::uint64_t = 0) = delete;
 
   void send(graph::EdgeId e, int direction, const Message& m);
 

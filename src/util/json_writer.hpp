@@ -1,12 +1,13 @@
 // Escaping-correct streaming JSON emitter.
 //
-// Every machine-readable artifact of the repo (diners_mc --json, the
-// diners_chaos campaign summary, diners_bench BENCH_*.json) goes through
-// this one writer, so a topology name containing '"' or '\' can never
-// produce invalid JSON again. The writer is deliberately dumb: it tracks
-// the open object/array stack for comma and indentation bookkeeping and
-// escapes strings; structural correctness (key before value in objects)
-// is asserted, not inferred.
+// Every machine-readable artifact of the repo (diners_mc and diners_sim
+// --json, the diners_chaos campaign summary, the service SLO and load
+// reports, the perfbench records) goes through this one writer, so a
+// topology name containing '"' or '\' can never produce invalid JSON
+// again. The writer is deliberately dumb: it tracks the open object/array
+// stack for comma and indentation bookkeeping and escapes strings;
+// structural correctness (key before value in objects) is asserted, not
+// inferred.
 //
 // Numbers are formatted with std::to_chars: integers exactly, doubles with
 // the shortest round-trip representation, both locale-independent — output

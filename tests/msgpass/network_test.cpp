@@ -111,7 +111,8 @@ void expect_conserved(const Network& net) {
 TEST(NetworkFaults, CertainDropLosesEverythingAndConserves) {
   FaultModel model;
   model.drop = 1.0;
-  Network net(graph::make_path(2), model, 1);
+  const auto g = graph::make_path(2);
+  Network net(g, model, 1);
   for (int i = 0; i < 20; ++i) net.send(0, 0, {});
   EXPECT_FALSE(net.has_pending());
   EXPECT_EQ(net.total_sent(), 20u);
@@ -122,7 +123,8 @@ TEST(NetworkFaults, CertainDropLosesEverythingAndConserves) {
 TEST(NetworkFaults, CertainDuplicationDoublesAndCountsAsSecondSend) {
   FaultModel model;
   model.duplicate = 1.0;
-  Network net(graph::make_path(2), model, 2);
+  const auto g = graph::make_path(2);
+  Network net(g, model, 2);
   for (int i = 0; i < 10; ++i) net.send(0, 0, {});
   EXPECT_EQ(net.pending(), 20u);
   EXPECT_EQ(net.total_sent(), 20u);  // the duplicate feeds the sent side
@@ -133,7 +135,8 @@ TEST(NetworkFaults, CertainDuplicationDoublesAndCountsAsSecondSend) {
 TEST(NetworkFaults, ReorderBreaksFifoButLosesNothing) {
   FaultModel model;
   model.reorder = 1.0;
-  Network net(graph::make_path(2), model, 3);
+  const auto g = graph::make_path(2);
+  Network net(g, model, 3);
   for (std::uint8_t i = 0; i < 16; ++i) {
     Message m;
     m.counter = i;
@@ -160,7 +163,8 @@ TEST(NetworkFaults, DelayedMessageIsStillDeliveredEventually) {
   FaultModel model;
   model.delay = 1.0;
   model.delay_deliveries = 3;
-  Network net(graph::make_path(2), model, 4);
+  const auto g = graph::make_path(2);
+  Network net(g, model, 4);
   Message m;
   m.counter = 2;
   net.send(0, 0, m);
@@ -215,7 +219,8 @@ TEST(NetworkFaults, SimultaneousDelayAndDuplicateConserveExactly) {
   model.duplicate = 1.0;
   model.delay = 1.0;
   model.delay_deliveries = 3;
-  Network net(graph::make_path(2), model, 11);
+  const auto g = graph::make_path(2);
+  Network net(g, model, 11);
   for (int i = 0; i < 10; ++i) {
     Message m;
     m.counter = static_cast<std::uint8_t>(i % 4);
@@ -247,7 +252,8 @@ TEST(NetworkFaults, MixedFaultsConserveExactly) {
   model.reorder = 0.3;
   model.delay = 0.2;
   model.corrupt = 0.1;
-  Network net(graph::make_ring(5), model, 6);
+  const auto g = graph::make_ring(5);
+  Network net(g, model, 6);
   util::Xoshiro256 rng(6);
   graph::EdgeId e;
   int dir;
@@ -268,7 +274,8 @@ TEST(NetworkFaults, MixedFaultsConserveExactly) {
 TEST(NetworkFaults, SetFaultModelSwapsMidRun) {
   FaultModel lossy;
   lossy.drop = 1.0;
-  Network net(graph::make_path(2), lossy, 7);
+  const auto g = graph::make_path(2);
+  Network net(g, lossy, 7);
   net.send(0, 0, {});
   EXPECT_EQ(net.pending(), 0u);
   net.set_fault_model({});  // quiescent window: reliable again
@@ -286,8 +293,9 @@ TEST(NetworkFaults, DeterministicForSeed) {
   model.duplicate = 0.3;
   model.reorder = 0.5;
   model.corrupt = 0.2;
-  Network a(graph::make_ring(4), model, 42);
-  Network b(graph::make_ring(4), model, 42);
+  const auto g = graph::make_ring(4);
+  Network a(g, model, 42);
+  Network b(g, model, 42);
   for (int i = 0; i < 300; ++i) {
     Message m;
     m.counter = static_cast<std::uint8_t>(i % 4);

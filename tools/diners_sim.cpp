@@ -266,7 +266,7 @@ int run_batch_mode(const diners::util::Flags& flags) {
   std::cout << "\nwall: " << fmt(result.wall_seconds) << " s ("
             << fmt(result.trials_per_sec) << " trials/sec)\n";
 
-  // Machine-readable report (diners_bench's campaign rows parse this).
+  // Machine-readable report.
   if (const std::string json_path = flags.str("json"); !json_path.empty()) {
     std::ofstream out(json_path);
     if (!out) {
