@@ -10,6 +10,7 @@
 #include "fault/injector.hpp"
 #include "graph/automorphisms.hpp"
 #include "util/thread_pool.hpp"
+#include "verify/key_index.hpp"
 
 namespace diners::verify {
 
@@ -665,13 +666,6 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
     g.reduction.canonical_hits += ws.canonical_hits;
     g.reduction.por_ample_states += ws.por_ample_states;
     g.reduction.por_arcs_pruned += ws.por_arcs_pruned;
-  }
-
-  // The final index is rebuilt from the canonical keys vector, so its
-  // layout too is a pure function of the result, never of the sharding.
-  g.index.reserve(g.num_states());
-  for (std::uint32_t i = 0; i < g.num_states(); ++i) {
-    g.index.insert(g.keys[i], i);
   }
   return g;
 }

@@ -66,7 +66,6 @@
 
 #include "core/diners_system.hpp"
 #include "verify/canonical.hpp"
-#include "verify/key_index.hpp"
 #include "verify/mutation.hpp"
 #include "verify/symmetry.hpp"
 
@@ -122,10 +121,6 @@ struct StateGraph {
   };
 
   std::vector<Key> keys;
-  /// keys[i] -> i, rebuilt deterministically from `keys` after exploration
-  /// (its layout is a pure function of the keys vector, independent of
-  /// jobs and sharding).
-  KeyIndex index;
 
   /// Per expanded state: bit protocol_move(p, a) set iff the (possibly
   /// mutated) program has (p, a) enabled there and p is alive.
@@ -188,7 +183,7 @@ class Explorer {
     /// Test-only: generate successors through the original
     /// codec.decode / program.execute / codec.encode round-trip instead of
     /// key patching. Byte-identical output, roughly 2x slower end to end
-    /// (bench_explorer's legacy rows).
+    /// (pinned by Explorer.LegacySuccessorPathIsByteIdentical).
     bool legacy_successors = false;
     /// Demonic malicious-crash victim (see file comment). The victim must
     /// already be dead in the scratch system.

@@ -49,7 +49,7 @@ TEST(RunBatch, SeedsFollowDeriveSeedStreams) {
   options.trials = 8;
   options.master_seed = 321;
   std::vector<std::uint64_t> seeds(options.trials, 0);
-  run_batch(options, [&](std::uint64_t trial, std::uint64_t seed) {
+  (void)run_batch(options, [&](std::uint64_t trial, std::uint64_t seed) {
     seeds[trial] = seed;
     return TrialOutput{};
   });
@@ -121,7 +121,7 @@ TEST(RunBatch, HistogramUsesConfiguredLayout) {
 // from a corrupted state plus mid-run malicious crashes — merged over ring,
 // grid, and G(n, p), are bit-identical at jobs 1 vs 4 vs 8.
 TEST(ScenarioBatch, BitIdenticalAcrossJobsOnAllTopologies) {
-  for (const std::string& topology : {"ring", "grid", "gnp"}) {
+  for (const char* topology : {"ring", "grid", "gnp"}) {
     ScenarioOptions scenario;
     scenario.topology = topology;
     scenario.n = 16;
@@ -149,7 +149,7 @@ TEST(ScenarioBatch, BitIdenticalAcrossJobsOnAllTopologies) {
       options.jobs = jobs;
       expect_same_aggregate(
           run_scenario_batch(scenario, options), serial,
-          topology + " jobs=" + std::to_string(jobs));
+          std::string(topology) + " jobs=" + std::to_string(jobs));
     }
   }
 }
@@ -180,7 +180,7 @@ TEST(ScenarioTrial, DeterministicPerSeed) {
 // full-scan reference produces identical outputs, under corruption plus a
 // mid-run malicious crash (the hard cases for incremental maintenance).
 TEST(ScenarioTrial, IncrementalMatchesFullScanForAllDaemons) {
-  for (const std::string& daemon :
+  for (const char* daemon :
        {"round-robin", "random", "adversarial-age", "biased"}) {
     ScenarioOptions scenario;
     scenario.topology = "gnp";
@@ -204,7 +204,8 @@ TEST(ScenarioTrial, IncrementalMatchesFullScanForAllDaemons) {
       scenario.scan_mode = sim::ScanMode::kFullScan;
       const TrialOutput full = run_scenario_trial(scenario, trial, seed);
 
-      const std::string label = daemon + " trial " + std::to_string(trial);
+      const std::string label =
+          std::string(daemon) + " trial " + std::to_string(trial);
       EXPECT_EQ(inc.converged, full.converged) << label;
       EXPECT_EQ(inc.primary, full.primary) << label;
       EXPECT_EQ(inc.meals, full.meals) << label;

@@ -2,6 +2,8 @@
 // A2), plus the diameter-threshold erratum the reproduction uncovered.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "analysis/invariants.hpp"
 #include "core/diners_system.hpp"
 #include "graph/algorithms.hpp"
@@ -59,18 +61,22 @@ DinersSystem idle_cycle_ring(graph::NodeId n, DinersConfig cfg) {
   return s;
 }
 
+// Also EXPERIMENTS.md E4's ablation row (length 24, 100k steps).
 TEST(AblationCycleBreaking, IdleCycleNeverRecoversNCWithoutFixdepth) {
-  DinersConfig cfg;
-  cfg.enable_cycle_breaking = false;
-  auto s = idle_cycle_ring(6, cfg);
-  sim::Engine engine(s, sim::make_daemon("round-robin", 1), 64);
-  const auto result = engine.run(10000);
-  // Nothing is ever enabled: the cycle is frozen into the priority graph
-  // and stabilization (convergence to NC) fails forever.
-  EXPECT_EQ(result.outcome, sim::RunOutcome::kTerminated);
-  EXPECT_EQ(result.steps_executed, 0u);
-  EXPECT_TRUE(graph::has_directed_cycle(s.orientation(), s.alive_fn()));
-  EXPECT_FALSE(analysis::holds_nc(s));
+  for (const graph::NodeId n : {6u, 24u}) {
+    DinersConfig cfg;
+    cfg.enable_cycle_breaking = false;
+    auto s = idle_cycle_ring(n, cfg);
+    sim::Engine engine(s, sim::make_daemon("round-robin", 1), 64);
+    const auto result = engine.run(100000);
+    // Nothing is ever enabled: the cycle is frozen into the priority graph
+    // and stabilization (convergence to NC) fails forever.
+    EXPECT_EQ(result.outcome, sim::RunOutcome::kTerminated) << n;
+    EXPECT_EQ(result.steps_executed, 0u) << n;
+    EXPECT_TRUE(graph::has_directed_cycle(s.orientation(), s.alive_fn()))
+        << n;
+    EXPECT_FALSE(analysis::holds_nc(s)) << n;
+  }
 }
 
 TEST(AblationCycleBreaking, FullAlgorithmRestoresNCForTheSameState) {
@@ -78,6 +84,58 @@ TEST(AblationCycleBreaking, FullAlgorithmRestoresNCForTheSameState) {
   sim::Engine engine(s, sim::make_daemon("round-robin", 1), 64);
   engine.run(10000);
   EXPECT_TRUE(analysis::holds_nc(s));
+}
+
+// EXPERIMENTS.md E4 prints its tables from the E4 tests:
+//   build/tests/core_tests --gtest_filter='E4.*'
+// Steps until NC holds, at most `limit`, round-robin (seed 1, fairness
+// bound 64).
+std::uint64_t steps_to_nc(DinersSystem& s, std::uint64_t limit) {
+  sim::Engine engine(s, sim::make_daemon("round-robin", 1), 64);
+  return engine.run(limit, [&] { return analysis::holds_nc(s); })
+      .steps_executed;
+}
+
+TEST(E4, StepsToBreakASeededRingCycle) {
+  const graph::NodeId lengths[] = {6, 12, 24, 48, 96};
+  const struct {
+    const char* cycle;
+    DinersSystem (*seed)(graph::NodeId, DinersConfig);
+    std::uint64_t steps[5];
+  } rows[] = {
+      {"idle", idle_cycle_ring, {22, 79, 301, 1177, 4657}},
+      {"hungry", hungry_cycle_ring, {4, 4, 4, 4, 4}},
+  };
+  std::printf("| seeded cycle length | 6 | 12 | 24 | 48 | 96 |\n");
+  for (const auto& row : rows) {
+    std::printf("| %s: steps to restore NC |", row.cycle);
+    for (int i = 0; i < 5; ++i) {
+      auto s = row.seed(lengths[i], DinersConfig{});
+      const std::uint64_t steps = steps_to_nc(s, 500000);
+      std::printf(" %llu |", static_cast<unsigned long long>(steps));
+      EXPECT_EQ(steps, row.steps[i]) << row.cycle << " " << lengths[i];
+    }
+    std::printf("\n");
+  }
+}
+
+// The idle ring of 24 with the threshold over-estimated `factor` times
+// (D = 12 x factor): detection waits for the depth to climb past it.
+TEST(E4, OverestimatedThresholdDelaysDetection) {
+  const struct {
+    std::uint32_t factor;
+    std::uint64_t steps;
+  } rows[] = {{1, 301}, {2, 577}, {4, 1129}, {8, 2233}};
+  std::printf("| threshold | steps to restore NC (idle ring 24) |\n");
+  for (const auto& row : rows) {
+    DinersConfig cfg;
+    cfg.diameter_override = 12 * row.factor;
+    auto s = idle_cycle_ring(24, cfg);
+    const std::uint64_t steps = steps_to_nc(s, 1000000);
+    std::printf("| %u | %llu |\n", 12 * row.factor,
+                static_cast<unsigned long long>(steps));
+    EXPECT_EQ(steps, row.steps) << "factor " << row.factor;
+  }
 }
 
 // Path 0-...-7, everyone already hungry (the dangerous configuration: the

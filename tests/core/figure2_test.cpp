@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "analysis/harness.hpp"
 #include "analysis/red_green.hpp"
 #include "graph/algorithms.hpp"
@@ -80,16 +82,35 @@ TEST(Figure2, BlockedSetIsExactlyTheRedSet) {
   EXPECT_FALSE(red[F::g]);
 }
 
+// EXPERIMENTS.md F2 prints its tables from this test and the two threshold
+// tests below:  build/tests/core_tests --gtest_filter='Figure2.*'
 TEST(Figure2, FreeRunReachesTheNarratedOutcome) {
   auto s = make_figure2_system();
   sim::Engine engine(s, sim::make_daemon("round-robin", 1), 64);
   sim::TraceRecorder trace;
   trace.attach(engine);
-  engine.run(4000);
+  const auto acyclic = [&] {
+    return !graph::has_directed_cycle(s.orientation(), s.alive_fn());
+  };
+  const std::uint64_t cycle_broken = engine.run(4000, acyclic).steps_executed;
+  engine.run(4000 - cycle_broken);
 
-  // Dynamic threshold: d yielded at least once.
-  EXPECT_GE(trace.count(F::d, "leave"), 1u);
-  // The cycle was broken: no live cycle remains.
+  // The step of each narrated event under round-robin.
+  const struct {
+    const char* event;
+    std::uint64_t step, expected;
+  } events[] = {
+      {"d yields to e (leave)", trace.first(F::d, "leave"), 2},
+      {"cycle e->f->g broken", cycle_broken, 9},
+      {"e eats (enter)", trace.first(F::e, "enter"), 13},
+  };
+  for (const auto& e : events) {
+    std::printf("| %s | step %llu |\n", e.event,
+                static_cast<unsigned long long>(e.step));
+    EXPECT_EQ(e.step, e.expected) << e.event;
+  }
+
+  // The cycle stays broken: no live cycle remains.
   EXPECT_FALSE(graph::has_directed_cycle(s.orientation(), s.alive_fn()));
   // e ate; so did g.
   EXPECT_GE(s.meals(F::e), 1u);
@@ -100,6 +121,31 @@ TEST(Figure2, FreeRunReachesTheNarratedOutcome) {
   EXPECT_EQ(s.meals(F::c), 0u);
   // f has no appetite in the figure, so it never ate either.
   EXPECT_EQ(s.meals(F::f), 0u);
+}
+
+// Counts after 20k round-robin steps from the figure's first frame.
+struct SteadyState {
+  std::size_t b_exits;
+  std::uint64_t b, c, d, e_plus_g;  // meals
+};
+
+// Prints the F2 steady-state row of `threshold` and pins it.
+void expect_steady_state(const char* threshold, const DinersSystem& s,
+                         const sim::TraceRecorder& trace,
+                         const SteadyState& expected) {
+  const SteadyState got{trace.count(F::b, "exit"), s.meals(F::b),
+                        s.meals(F::c), s.meals(F::d),
+                        s.meals(F::e) + s.meals(F::g)};
+  std::printf("| %s | %zu | %llu | %llu | %llu | %llu |\n", threshold,
+              got.b_exits, static_cast<unsigned long long>(got.b),
+              static_cast<unsigned long long>(got.c),
+              static_cast<unsigned long long>(got.d),
+              static_cast<unsigned long long>(got.e_plus_g));
+  EXPECT_EQ(got.b_exits, expected.b_exits) << threshold;
+  EXPECT_EQ(got.b, expected.b) << threshold;
+  EXPECT_EQ(got.c, expected.c) << threshold;
+  EXPECT_EQ(got.d, expected.d) << threshold;
+  EXPECT_EQ(got.e_plus_g, expected.e_plus_g) << threshold;
 }
 
 TEST(Figure2, PaperThresholdEventuallyUnblocksD) {
@@ -113,9 +159,7 @@ TEST(Figure2, PaperThresholdEventuallyUnblocksD) {
   sim::TraceRecorder trace;
   trace.attach(engine);
   engine.run(20000);
-  EXPECT_GE(trace.count(F::b, "exit"), 1u);  // the spurious exit
-  EXPECT_EQ(s.meals(F::b), 0u);              // b itself still never eats
-  EXPECT_GT(s.meals(F::d), 0u);              // ...but d is released
+  expect_steady_state("paper D = 3", s, trace, {1, 0, 0, 2220, 4442});
   EXPECT_EQ(s.state(F::b), DinerState::kThinking);
 }
 
@@ -140,10 +184,11 @@ TEST(Figure2, SoundThresholdPreservesTheNarratedSacrifice) {
   sound.crash(F::a);
 
   sim::Engine engine(sound, sim::make_daemon("round-robin", 1), 64);
+  sim::TraceRecorder trace;
+  trace.attach(engine);
   engine.run(20000);
-  EXPECT_EQ(sound.meals(F::b), 0u);
-  EXPECT_EQ(sound.meals(F::c), 0u);
-  EXPECT_EQ(sound.meals(F::d), 0u);  // the distance-2 sacrifice persists
+  // The distance-2 sacrifice of d persists.
+  expect_steady_state("sound n-1 = 6", sound, trace, {0, 0, 0, 0, 6663});
   EXPECT_GT(sound.meals(F::e), 0u);
   EXPECT_GT(sound.meals(F::g), 0u);
   EXPECT_EQ(sound.state(F::b), DinerState::kHungry);  // as drawn

@@ -257,15 +257,15 @@ TEST(ParseCrash, MaliceDefaultsToBenign) {
 }
 
 TEST(ParseCrash, RejectsMalformedTokens) {
-  EXPECT_THROW(parse_crash_event("abc"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event("100"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event("100:seven"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event("100:7:many"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event("-5:7"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event("100:7 "), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event("100::3"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event(":7"), std::invalid_argument);
-  EXPECT_THROW(parse_crash_event("100:7:4294967296"),  // 2^32: overflow
+  EXPECT_THROW((void)parse_crash_event("abc"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event("100"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event("100:seven"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event("100:7:many"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event("-5:7"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event("100:7 "), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event("100::3"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event(":7"), std::invalid_argument);
+  EXPECT_THROW((void)parse_crash_event("100:7:4294967296"),  // 2^32: overflow
                std::invalid_argument);
 }
 

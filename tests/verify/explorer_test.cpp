@@ -11,6 +11,7 @@
 #include "core/serialize.hpp"
 #include "fault/injector.hpp"
 #include "graph/generators.hpp"
+#include "verify/key_index.hpp"
 #include "verify/properties.hpp"
 
 namespace diners::verify {
@@ -72,9 +73,10 @@ TEST(Explorer, InstanceSeededPath3HasConsistentBfsTree) {
   EXPECT_EQ(g.parent[0], kNoIndex);
   EXPECT_EQ(g.parent_move[0], kSeedMove);
 
+  KeyIndex index(g.num_states());
   for (std::uint32_t i = 0; i < g.num_states(); ++i) {
-    // Index map is the inverse of keys.
-    EXPECT_EQ(g.index.at(g.keys[i]), i);
+    // Keys are distinct.
+    EXPECT_TRUE(index.insert(g.keys[i], i).second);
     // BFS parents precede their children in discovery order.
     if (i >= g.num_seeds) {
       ASSERT_LT(g.parent[i], i);

@@ -25,6 +25,7 @@
 #include "verify/counterexample.hpp"
 #include "verify/explorer.hpp"
 #include "util/rng.hpp"
+#include "verify/key_index.hpp"
 #include "verify/mutation.hpp"
 #include "verify/properties.hpp"
 
@@ -374,9 +375,13 @@ TEST(Reduction, RandomSymmetricLabelsGiveTheUnreducedVerdict) {
     ASSERT_TRUE(reduced.complete && full.complete) << t.name;
     ASSERT_NE(reduced.sym, nullptr) << t.name;
     ASSERT_EQ(full.sym, nullptr) << t.name;
+    KeyIndex reduced_index(reduced.num_states());
+    for (std::uint32_t i = 0; i < reduced.num_states(); ++i) {
+      reduced_index.insert(reduced.keys[i], i);
+    }
     std::vector<std::uint32_t> rep_of(full.num_states());
     for (std::uint32_t i = 0; i < full.num_states(); ++i) {
-      rep_of[i] = reduced.index.find(reduced.sym->canonical(full.keys[i]));
+      rep_of[i] = reduced_index.find(reduced.sym->canonical(full.keys[i]));
       ASSERT_NE(rep_of[i], KeyIndex::kAbsent) << t.name << " state " << i;
     }
 

@@ -12,7 +12,7 @@
 // are data, not errors), 1 if the service granted nothing, 2 usage error.
 //
 // Example, against `diners_service --topology=ring --n=8 ... &`:
-//   diners_load --socket-dir=/tmp --nodes=8 --clients=8 --rps=400 \
+//   diners_load --socket-dir=/tmp --nodes=8 --clients=8 --rps=400
 //       --duration-ms=2000 --out=load.json
 #include <cstdio>
 #include <fstream>

@@ -48,6 +48,7 @@
 #include "graph/generators.hpp"
 #include "util/flags.hpp"
 #include "util/json_writer.hpp"
+#include "util/rss.hpp"
 #include "verify/canonical.hpp"
 #include "verify/counterexample.hpp"
 #include "verify/explorer.hpp"
@@ -182,6 +183,8 @@ void write_json_summary(std::ostream& os, const std::string& topology,
   w.field("progress_seconds", s.phases.progress);
   w.field("locality_seconds", s.phases.locality);
   w.end_object();
+  // Appended in schema v4: peak resident set of the whole run.
+  w.field("max_rss_bytes", diners::util::peak_rss_bytes());
   w.finish();
 }
 
@@ -368,6 +371,9 @@ int run_exhaustive(const diners::util::Flags& flags,
   const auto te0 = std::chrono::steady_clock::now();
   const verify::StateGraph healthy = explorer.explore(seeds);
   const double healthy_seconds = seconds_since(te0);
+  // The healthy graph holds every admitted seed; the raw box (16 B per
+  // state, ~0.97 GB for ring-5) is dead weight from here on.
+  std::vector<verify::Key>().swap(seeds);
   stats.explore_seconds += healthy_seconds;
   stats.explored_states_total += healthy.num_states();
   accumulate(stats.reduction, healthy.reduction);

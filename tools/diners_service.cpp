@@ -18,7 +18,7 @@
 //
 // Examples:
 //   diners_service --topology=ring --n=8 --duration-ms=5000 &
-//   diners_service --campaign --topology=ring --n=16 --victim=0 \
+//   diners_service --campaign --topology=ring --n=16 --victim=0
 //       --rps=400 --out=slo.json
 #include <cstdio>
 #include <fstream>

@@ -34,32 +34,15 @@
 #include "util/flags.hpp"
 #include "verify/counterexample.hpp"
 #include "util/json_writer.hpp"
+#include "util/rss.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
-
-#include <sys/resource.h>
 
 namespace {
 
 using diners::core::DinersConfig;
 using diners::core::DinersSystem;
 using diners::graph::NodeId;
-
-diners::graph::Graph build_topology(const std::string& kind, NodeId n,
-                                    std::uint64_t seed) {
-  if (kind == "ring") return diners::graph::make_ring(n);
-  if (kind == "path") return diners::graph::make_path(n);
-  if (kind == "star") return diners::graph::make_star(n);
-  if (kind == "complete") return diners::graph::make_complete(n);
-  if (kind == "grid") return diners::graph::make_grid(n / 4 ? n / 4 : 1, 4);
-  if (kind == "torus") return diners::graph::make_torus(n / 4 ? n / 4 : 3, 4);
-  if (kind == "tree") return diners::graph::make_random_tree(n, seed);
-  if (kind == "wheel") return diners::graph::make_wheel(n);
-  if (kind == "barbell") return diners::graph::make_barbell(n / 2, 2);
-  if (kind == "gnp") return diners::graph::make_connected_gnp(n, 0.1, seed);
-  if (kind == "figure2") return diners::graph::make_figure2_topology();
-  throw std::invalid_argument("unknown topology: " + kind);
-}
 
 /// Exit code 2: malformed user input (vs 1 for runtime failures).
 constexpr int kUsageError = 2;
@@ -76,18 +59,11 @@ diners::sim::EngineKind parse_engine(const std::string& name) {
   throw UsageError("unknown engine: " + name + " (object | flat)");
 }
 
-/// Peak resident set of this process, in bytes (Linux ru_maxrss is KiB).
-std::uint64_t peak_rss_bytes() {
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-}
-
 int run_diners(const diners::util::Flags& flags) {
   const NodeId n = flags.u32("n", 1, diners::graph::kNoNode - 1);
   const std::uint64_t seed = flags.u64("seed");
   const std::uint64_t steps = flags.u64("steps");
-  auto g = build_topology(flags.str("topology"), n, seed);
+  auto g = diners::graph::make_named(flags.str("topology"), n, seed);
 
   DinersConfig cfg;
   // Validated inputs: a typo'd --threshold or --crash must produce a usage
@@ -206,7 +182,7 @@ int run_batch_mode(const diners::util::Flags& flags) {
 
   // Validate user input against a probe topology (seeded families resample
   // per trial, but the node count is seed-independent for every family).
-  const auto probe = build_topology(scenario.topology, n, seed);
+  const auto probe = diners::graph::make_named(scenario.topology, n, seed);
   try {
     scenario.diameter_override = diners::core::parse_threshold(
         flags.str("threshold"), probe.num_nodes());
@@ -317,7 +293,7 @@ int run_batch_mode(const diners::util::Flags& flags) {
         .field("jobs", static_cast<std::uint64_t>(batch.jobs))
         .field("wall_seconds", result.wall_seconds)
         .field("trials_per_sec", result.trials_per_sec)
-        .field("max_rss_bytes", peak_rss_bytes());
+        .field("max_rss_bytes", diners::util::peak_rss_bytes());
     w.finish();
   }
   return 0;
@@ -364,7 +340,7 @@ template <typename System>
 int run_baseline(const diners::util::Flags& flags) {
   const NodeId n = flags.u32("n", 1, diners::graph::kNoNode - 1);
   const std::uint64_t seed = flags.u64("seed");
-  System system(build_topology(flags.str("topology"), n, seed));
+  System system(diners::graph::make_named(flags.str("topology"), n, seed));
   diners::sim::Engine engine(
       system, diners::sim::make_daemon(flags.str("daemon"), seed), 256);
   engine.run(flags.u64("steps"));
