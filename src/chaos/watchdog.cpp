@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/harness.hpp"
 #include "analysis/invariants.hpp"
 #include "analysis/monitors.hpp"
 #include "graph/algorithms.hpp"
@@ -14,21 +15,18 @@ namespace diners::chaos {
 
 namespace {
 
-std::vector<graph::NodeId> dead_set(const core::DinersSystem& system) {
-  std::vector<graph::NodeId> dead;
-  for (graph::NodeId p = 0; p < system.topology().num_nodes(); ++p) {
-    if (!system.alive(p)) dead.push_back(p);
-  }
-  return dead;
-}
-
 /// True if some live process sits strictly outside every `bound`-ball of
 /// the dead set (with no dead processes, every live process qualifies:
 /// distances_to_set of an empty set is kUnreachable everywhere).
-bool far_live_exists(const core::DinersSystem& system,
-                     const std::vector<std::uint32_t>& dist,
-                     std::uint32_t bound) {
-  for (graph::NodeId p = 0; p < system.topology().num_nodes(); ++p) {
+template <typename System>
+bool far_live_exists(const System& system, std::uint32_t bound) {
+  const auto n = system.topology().num_nodes();
+  std::vector<graph::NodeId> dead;
+  for (graph::NodeId p = 0; p < n; ++p) {
+    if (!system.alive(p)) dead.push_back(p);
+  }
+  const auto dist = graph::distances_to_set(system.topology(), dead);
+  for (graph::NodeId p = 0; p < n; ++p) {
     if (system.alive(p) && dist[p] > bound) return true;
   }
   return false;
@@ -56,35 +54,19 @@ WatchdogVerdict await_invariant(core::DinersSystem& system,
   // Progress / locality oracle: under saturation appetite, a live process
   // that starts no meal over the whole window starved; Theorem 2 confines
   // starvation to the locality ball of the dead set.
-  const auto n = system.topology().num_nodes();
-  std::vector<std::uint64_t> meals_before(n);
-  for (graph::NodeId p = 0; p < n; ++p) meals_before[p] = system.meals(p);
-  engine.run(options.progress_window);
-
-  std::vector<graph::NodeId> starved;
-  for (graph::NodeId p = 0; p < n; ++p) {
-    if (system.alive(p) && system.needs(p) &&
-        system.meals(p) == meals_before[p]) {
-      starved.push_back(p);
-    }
-  }
-  if (starved.empty()) return verdict;
-
-  const auto dead = dead_set(system);
-  const auto dist = graph::distances_to_set(system.topology(), dead);
-  std::uint32_t radius = 0;
-  for (graph::NodeId p : starved) radius = std::max(radius, dist[p]);
-  if (radius > options.locality_bound) {
+  const auto report =
+      analysis::measure_starvation(system, engine, options.progress_window);
+  if (report.locality_radius > options.locality_bound) {
     std::ostringstream os;
-    os << starved.size() << " process(es) starved through a "
+    os << report.starved.size() << " process(es) starved through a "
        << options.progress_window << "-step window at distance ";
-    if (radius == graph::kUnreachable) {
+    if (report.locality_radius == graph::kUnreachable) {
       os << "infinity (no crashed process present)";
     } else {
-      os << radius;
+      os << report.locality_radius;
     }
     os << " from the dead set (locality bound " << options.locality_bound
-       << "); first starved: " << starved.front();
+       << "); first starved: " << report.starved.front();
     verdict.failure = os.str();
   }
   return verdict;
@@ -93,19 +75,8 @@ WatchdogVerdict await_invariant(core::DinersSystem& system,
 WatchdogVerdict await_quiescence(msgpass::MessagePassingDiners& system,
                                  const WatchdogOptions& options) {
   WatchdogVerdict verdict;
-  const auto& g = system.topology();
-  std::vector<graph::NodeId> dead;
-  for (graph::NodeId p = 0; p < g.num_nodes(); ++p) {
-    if (!system.alive(p)) dead.push_back(p);
-  }
-  const auto dist = graph::distances_to_set(g, dead);
-  bool require_progress = false;
-  for (graph::NodeId p = 0; p < g.num_nodes(); ++p) {
-    if (system.alive(p) && dist[p] > options.locality_bound) {
-      require_progress = true;
-      break;
-    }
-  }
+  const bool require_progress =
+      far_live_exists(system, options.locality_bound);
   const std::uint64_t meals_before = system.total_meals();
   const std::uint64_t period = std::max<std::uint64_t>(1, options.check_every);
   std::uint64_t executed = 0;
@@ -154,10 +125,7 @@ WatchdogVerdict await_threaded(threads::ThreadedDiners& system,
       verdict.converged = true;
       verdict.steps_to_converge = used;
       meals_at_convergence = system.total_meals();
-      const auto dead = dead_set(snap);
-      const auto dist = graph::distances_to_set(snap.topology(), dead);
-      require_progress =
-          far_live_exists(snap, dist, options.locality_bound);
+      require_progress = far_live_exists(snap, options.locality_bound);
       break;
     }
     last_snapshot = core::capture(snap);

@@ -248,10 +248,6 @@ void MessagePassingDiners::step() {
     graph::EdgeId e = graph::kNoEdge;
     int direction = 0;
     const Message m = network_.deliver_random(rng_, e, direction);
-    if (rng_.chance(options_.loss_probability)) {
-      ++messages_lost_;  // dropped on the wire
-      return;
-    }
     const auto& edge = graph_.edge(e);
     handle_message(direction == 0 ? edge.v : edge.u, e, m);
   } else {

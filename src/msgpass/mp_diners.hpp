@@ -50,11 +50,6 @@ struct MpOptions {
   /// message delivery (given pending messages; with an empty network every
   /// step is a tick).
   double tick_probability = 0.25;
-  /// Probability that a delivered message is lost instead of handled. The
-  /// protocol tolerates loss: mirrors carry absolute counter values and
-  /// ticks re-send them, so a lost release message merely delays the token
-  /// until the next refresh.
-  double loss_probability = 0.0;
   /// Channel-level fault model (drop/duplicate/reorder/delay/corrupt); the
   /// default is the perfectly reliable FIFO network. The network's fault
   /// RNG derives from `seed`, so unreliable runs stay deterministic.
@@ -133,9 +128,6 @@ class MessagePassingDiners {
   [[nodiscard]] std::uint64_t messages_delivered() const {
     return network_.total_delivered();
   }
-  [[nodiscard]] std::uint64_t messages_lost() const noexcept {
-    return messages_lost_;
-  }
 
   /// The underlying network, exposed for fault-model swaps mid-run (chaos
   /// campaigns) and for the drop/duplicate conservation counters.
@@ -187,7 +179,6 @@ class MessagePassingDiners {
 
   std::vector<std::uint64_t> meals_;
   std::uint64_t total_meals_ = 0;
-  std::uint64_t messages_lost_ = 0;
 };
 
 }  // namespace diners::msgpass

@@ -1,6 +1,8 @@
 #include "util/flags.hpp"
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 
@@ -106,6 +108,37 @@ void Flags::print_usage(const std::string& program) const {
     std::cerr << "  --" << name << " (default: " << entry.value << ")  "
               << entry.help << "\n";
   }
+}
+
+int run_tool(int (*run)(const Flags&), const Flags& flags) {
+  try {
+    return run(flags);
+  } catch (const UsageError& err) {
+    std::cerr << "error: " << err.what() << "\n"
+              << "run with --help for usage\n";
+    return kUsageError;
+  } catch (const std::exception& err) {
+    std::cerr << "error: " << err.what() << "\n";
+    return 1;
+  }
+}
+
+double probability(const Flags& flags, const std::string& name) {
+  const double p = flags.f64(name);
+  if (p < 0.0 || p > 1.0) {
+    throw UsageError("--" + name + ": " + flags.str(name) +
+                     " is not a probability in [0, 1]");
+  }
+  return p;
+}
+
+void require_writable(const std::string& path, const std::string& message) {
+  if (path.empty()) return;
+  const bool existed = static_cast<bool>(std::ifstream(path));
+  std::ofstream probe(path, std::ios::app);
+  if (!probe) throw UsageError(message + path);
+  probe.close();
+  if (!existed) std::remove(path.c_str());
 }
 
 }  // namespace diners::util

@@ -1,4 +1,5 @@
-// Tiny command-line flag parser for the example binaries.
+// Tiny command-line flag parser for the tools and example binaries, and
+// the usage-error path the tools share.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` /
 // `--no-name`. Unknown flags are an error; `--help` prints registered flags.
@@ -14,11 +15,20 @@
 
 namespace diners::util {
 
-/// Thrown by the typed accessors when a flag's value fails to parse or
-/// range-check. Tools catch this to print the message and exit 2 (usage
-/// error) instead of dying on an uncaught std::stoll exception.
-struct FlagError : std::invalid_argument {
+/// Exit code of malformed user input; 1 is left for runtime failures.
+inline constexpr int kUsageError = 2;
+
+/// Malformed user input. run_tool prints it with a usage hint and exits
+/// kUsageError.
+struct UsageError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
+};
+
+/// Thrown by the typed accessors when a flag's value fails to parse or
+/// range-check: a usage error naming the flag, instead of an uncaught
+/// std::stoll exception.
+struct FlagError : UsageError {
+  using UsageError::UsageError;
 };
 
 class Flags {
@@ -59,5 +69,20 @@ class Flags {
   std::map<std::string, Entry> entries_;
   std::vector<std::string> positional_;
 };
+
+/// Runs a tool's `run(flags)` and maps what it throws to the exit code all
+/// tools share: a UsageError prints "error: ..." and a usage hint and
+/// returns kUsageError; any other exception prints "error: ..." and
+/// returns 1.
+[[nodiscard]] int run_tool(int (*run)(const Flags&), const Flags& flags);
+
+/// The value of flag `name`; throws UsageError unless it lies in [0, 1].
+[[nodiscard]] double probability(const Flags& flags, const std::string& name);
+
+/// Throws UsageError(`message` + path) unless `path` is empty or can be
+/// created or appended to now, so a long run cannot end by discovering
+/// that its report is unwritable. Leaves no trace if the file did not
+/// already exist.
+void require_writable(const std::string& path, const std::string& message);
 
 }  // namespace diners::util

@@ -1,6 +1,9 @@
 #include "util/rss.hpp"
 
 #include <sys/resource.h>
+#include <unistd.h>
+
+#include <limits>
 
 namespace diners::util {
 
@@ -8,6 +11,16 @@ std::uint64_t peak_rss_bytes() {
   struct rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // Linux: KiB
+}
+
+std::uint64_t physical_memory_bytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  if (pages <= 0 || page_size <= 0) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return static_cast<std::uint64_t>(pages) *
+         static_cast<std::uint64_t>(page_size);
 }
 
 }  // namespace diners::util

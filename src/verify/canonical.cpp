@@ -129,4 +129,12 @@ Key StateCodec::domain_key(std::uint64_t i) const {
   return k;
 }
 
+std::vector<Key> StateCodec::domain_keys() const {
+  const std::uint64_t size = domain_size();
+  std::vector<Key> keys;
+  keys.reserve(size);
+  for (std::uint64_t i = 0; i < size; ++i) keys.push_back(domain_key(i));
+  return keys;
+}
+
 }  // namespace diners::verify

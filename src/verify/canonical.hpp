@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/diners_system.hpp"
 #include "graph/graph.hpp"
@@ -174,6 +175,9 @@ class StateCodec {
 
   /// The i-th key of the domain in mixed-radix order, i < domain_size().
   [[nodiscard]] Key domain_key(std::uint64_t i) const;
+
+  /// Every key of the domain, in domain_key order.
+  [[nodiscard]] std::vector<Key> domain_keys() const;
 
  private:
   [[nodiscard]] std::uint32_t proc_base(graph::NodeId p) const noexcept {

@@ -369,9 +369,8 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
   }
 
   // The ample rule's invisibility test evaluates the invariant on decoded
-  // states; give each worker a scratch system + shallow context for it.
+  // states; give each worker a scratch system for it.
   std::vector<core::DinersSystem> por_sys;
-  std::vector<analysis::ShallowContext> por_ctx(por_on ? jobs : 0);
   if (por_on) {
     por_sys.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w) por_sys.push_back(core::clone(scratch_));
@@ -503,8 +502,7 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
             while (buf[ci].move != want) ++ci;
             const auto inv = [&](const Key& key) {
               codec_.decode(key, por_sys[w]);
-              por_ctx[w].refresh(por_sys[w]);
-              return analysis::holds_invariant(por_sys[w], por_ctx[w]);
+              return analysis::holds_invariant(por_sys[w]);
             };
             if (inv(k) != inv(buf[ci].key)) continue;
             Key target = buf[ci].key;

@@ -315,11 +315,9 @@ std::vector<std::uint8_t> label_invariant(const StateGraph& g,
                                           const StateCodec& codec,
                                           core::DinersSystem& scratch) {
   std::vector<std::uint8_t> inv(g.num_states(), 0);
-  analysis::ShallowContext ctx;
   for (std::uint32_t i = 0; i < g.num_states(); ++i) {
     codec.decode(g.keys[i], scratch);
-    ctx.refresh(scratch);
-    inv[i] = analysis::holds_invariant(scratch, ctx) ? 1 : 0;
+    inv[i] = analysis::holds_invariant(scratch) ? 1 : 0;
   }
   return inv;
 }

@@ -129,11 +129,11 @@ TEST(MpDiners, DeadProcessFreezesTokens) {
 
 TEST(MpDiners, LivenessSurvivesHeavyMessageLoss) {
   MpOptions options;
-  options.loss_probability = 0.3;
+  options.network_faults.drop = 0.3;
   options.seed = 9;
   MessagePassingDiners s(graph::make_ring(6), {}, options);
   s.run(150000);
-  EXPECT_GT(s.messages_lost(), 1000u);  // the loss really happened
+  EXPECT_GT(s.network().total_dropped(), 1000u);  // the loss really happened
   for (P p = 0; p < 6; ++p) {
     EXPECT_GT(s.meals(p), 0u) << "process " << p;
   }
@@ -143,7 +143,7 @@ TEST(MpDiners, SafetyHoldsUnderMessageLoss) {
   // Loss only delays tokens; it cannot duplicate them, so exclusion is
   // unaffected from a clean start.
   MpOptions options;
-  options.loss_probability = 0.25;
+  options.network_faults.drop = 0.25;
   options.seed = 10;
   MessagePassingDiners s(graph::make_ring(6), {}, options);
   for (int i = 0; i < 40000; ++i) {
@@ -270,7 +270,7 @@ TEST(MpDiners, RestartClearsTheEatingPin) {
 
 TEST(MpDiners, TotalLossFreezesProgressButNothingBreaks) {
   MpOptions options;
-  options.loss_probability = 1.0;
+  options.network_faults.drop = 1.0;
   options.seed = 11;
   MessagePassingDiners s(graph::make_path(4), {}, options);
   s.run(20000);

@@ -145,11 +145,7 @@ TEST(CexReplay, ComposedConvergenceCycleReplaysAndCloses) {
   Explorer::Options opts;
   opts.mutation = GuardMutation::kNoFixdepth;
   Explorer explorer(scratch, codec, opts);
-  std::vector<Key> seeds;
-  for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-    seeds.push_back(codec.domain_key(i));
-  }
-  const StateGraph g = explorer.explore(seeds);
+  const StateGraph g = explorer.explore(codec.domain_keys());
   ASSERT_TRUE(g.complete);
 
   const auto inv = label_invariant(g, codec, scratch);

@@ -117,11 +117,7 @@ TEST(ExplorerDeterminism, BoxSeededRing4) {
   DinersSystem scratch(graph::make_ring(4));
   for (P p = 0; p < 4; ++p) scratch.set_needs(p, true);
   const StateCodec codec(scratch.topology(), 0, 1);
-  std::vector<Key> seeds;
-  seeds.reserve(codec.domain_size());
-  for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-    seeds.push_back(codec.domain_key(i));
-  }
+  const std::vector<Key> seeds = codec.domain_keys();
   const StateGraph g =
       explore_all_jobs(scratch, codec, Explorer::Options{}, seeds);
   ASSERT_TRUE(g.complete);
@@ -239,11 +235,7 @@ TEST(ExplorerDeterminism, BoxSeededGraphsMatchGoldenHashes) {
       prototype.set_needs(p, true);
     }
     const StateCodec codec(prototype.topology(), 0, 2);
-    std::vector<Key> seeds;
-    seeds.reserve(codec.domain_size());
-    for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-      seeds.push_back(codec.domain_key(i));
-    }
+    const std::vector<Key> seeds = codec.domain_keys();
     for (const unsigned jobs : {1u, 3u}) {
       SCOPED_TRACE(std::string(c.name) + (c.reduced ? " sym,por" : "") +
                    " jobs=" + std::to_string(jobs));

@@ -27,15 +27,6 @@ DinersSystem hungry_system(graph::Graph g, DinersConfig cfg = {}) {
   return s;
 }
 
-std::vector<Key> box_seeds(const StateCodec& codec) {
-  std::vector<Key> seeds;
-  seeds.reserve(codec.domain_size());
-  for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-    seeds.push_back(codec.domain_key(i));
-  }
-  return seeds;
-}
-
 void expect_graphs_identical(const StateGraph& a, const StateGraph& b) {
   ASSERT_EQ(a.num_states(), b.num_states());
   EXPECT_EQ(a.num_seeds, b.num_seeds);
@@ -105,7 +96,7 @@ TEST(Explorer, BoxSeededTriangleSoundThresholdVerifies) {
   DinersSystem scratch = hungry_system(graph::make_complete(3), cfg);
   const StateCodec codec(scratch.topology(), 0, 3);
   Explorer explorer(scratch, codec, {});
-  const auto seeds = box_seeds(codec);
+  const auto seeds = codec.domain_keys();
   const StateGraph g = explorer.explore(seeds);
 
   ASSERT_TRUE(g.complete);
@@ -122,7 +113,7 @@ TEST(Explorer, BoxSeededTrianglePaperThresholdNeverConverges) {
   DinersSystem scratch = hungry_system(graph::make_complete(3));
   const StateCodec codec(scratch.topology(), 0, 2);
   Explorer explorer(scratch, codec, {});
-  const StateGraph g = explorer.explore(box_seeds(codec));
+  const StateGraph g = explorer.explore(codec.domain_keys());
 
   ASSERT_TRUE(g.complete);
   const auto inv = label_invariant(g, codec, scratch);

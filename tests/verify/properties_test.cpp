@@ -241,12 +241,8 @@ DinersSystem hungry_system(graph::Graph g, DinersConfig cfg = {}) {
 
 StateGraph explore_box(DinersSystem& scratch, const StateCodec& codec,
                        Explorer::Options opts = {}) {
-  std::vector<Key> seeds;
-  for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-    seeds.push_back(codec.domain_key(i));
-  }
   Explorer explorer(scratch, codec, opts);
-  return explorer.explore(seeds);
+  return explorer.explore(codec.domain_keys());
 }
 
 TEST(Theorems, TriangleSoundThresholdSatisfiesAllProperties) {

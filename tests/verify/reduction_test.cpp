@@ -9,11 +9,14 @@
 // This battery is the empirical soundness pin for the ample-set POR rule
 // (see DESIGN.md §10): POR keeps an arc-subgraph, so any violation it
 // reports is genuine; that it misses none is exactly what the verdict
-// equality here checks.
+// equality here checks. Every verdict comes from verify::check_exhaustive,
+// the pipeline diners_mc --exhaustive runs, which also pins the threshold
+// erratum's boundary on line-4 and star-4 (EXPERIMENTS.md V2).
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,9 +25,10 @@
 #include "core/serialize.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "verify/counterexample.hpp"
-#include "verify/explorer.hpp"
 #include "util/rng.hpp"
+#include "verify/counterexample.hpp"
+#include "verify/exhaustive.hpp"
+#include "verify/explorer.hpp"
 #include "verify/key_index.hpp"
 #include "verify/mutation.hpp"
 #include "verify/properties.hpp"
@@ -36,170 +40,43 @@ using core::DinersConfig;
 using core::DinersSystem;
 using graph::NodeId;
 
-DinersSystem hungry_system(graph::Graph g) {
+DinersSystem hungry_system(graph::Graph g,
+                           std::optional<std::uint32_t> threshold = {}) {
   DinersConfig cfg;
-  cfg.diameter_override = g.num_nodes() - 1;  // the sound threshold
+  // By default the sound threshold.
+  cfg.diameter_override = threshold.value_or(g.num_nodes() - 1);
   DinersSystem s(std::move(g), cfg);
   for (NodeId p = 0; p < s.topology().num_nodes(); ++p) s.set_needs(p, true);
   return s;
 }
 
-struct RunSpec {
-  GuardMutation mutation = GuardMutation::kNone;
-  bool sym = false;
-  bool por = false;
-  bool compact = false;
-  bool box = true;       ///< box seeding; false = instance seeding
-  bool victims = true;   ///< run the demonic-victim locality loop
-  unsigned jobs = 1;
-  std::uint32_t max_states = 8'000'000;
-};
+/// The battery's baseline check: box seeds, every property, every demonic
+/// victim, unreduced, under a cap no instance here reaches.
+ExhaustiveOptions battery_options(
+    GuardMutation mutation = GuardMutation::kNone) {
+  ExhaustiveOptions o;
+  o.explore.mutation = mutation;
+  o.explore.max_states = 8'000'000;
+  return o;
+}
 
-struct RunResult {
-  std::string verdict;  ///< "verified", "inconclusive", or the property
-  std::uint64_t healthy_states = 0;
-  std::uint64_t healthy_arcs = 0;
-  StateGraph::ReductionStats reduction;
-  std::optional<Counterexample> cex;
-};
-
-/// In-process mirror of diners_mc's exhaustive mode (same oracles, same
-/// counterexample composition, same per-orbit loop reduction), so the
-/// battery compares the actual verification pipeline, not a re-derivation.
-RunResult run_verify(const DinersSystem& prototype, const RunSpec& spec) {
-  RunResult r;
-  const auto& topo = prototype.topology();
-  const StateCodec codec(topo, 0,
+/// Runs the exhaustive check (the pipeline diners_mc --exhaustive runs)
+/// over the depth box 0..D+1, D the prototype's threshold.
+ExhaustiveResult check(const DinersSystem& prototype,
+                       const ExhaustiveOptions& options) {
+  const StateCodec codec(prototype.topology(), 0,
                          static_cast<std::int64_t>(
                              *prototype.config().diameter_override) +
                              1);
+  std::ostringstream log;
+  return check_exhaustive(prototype, codec, options, log);
+}
 
-  std::vector<Key> seeds;
-  if (spec.box) {
-    seeds.reserve(codec.domain_size());
-    for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-      seeds.push_back(codec.domain_key(i));
-    }
-  } else {
-    seeds.push_back(codec.encode(prototype));
-  }
-
-  DinersSystem scratch = core::clone(prototype);
-  Explorer::Options opts;
-  opts.mutation = spec.mutation;
-  opts.max_states = spec.max_states;
-  opts.jobs = spec.jobs;
-  opts.reduce_sym = spec.sym;
-  opts.reduce_por = spec.por;
-  opts.compact_visited = spec.compact;
-  Explorer explorer(scratch, codec, opts);
-  const StateGraph healthy = explorer.explore(seeds);
-  r.healthy_states = healthy.num_states();
-  r.healthy_arcs = healthy.succ.size();
-  r.reduction = healthy.reduction;
-  if (!healthy.complete) {
-    r.verdict = "inconclusive";
-    return r;
-  }
-
-  const auto orbit_reps = [](const StateGraph& sg, NodeId nn) {
-    std::vector<std::uint8_t> rep(nn, 1);
-    if (sg.sym != nullptr) {
-      for (const auto& orb : sg.sym->node_orbits()) {
-        for (std::size_t i = 1; i < orb.size(); ++i) rep[orb[i]] = 0;
-      }
-    }
-    return rep;
-  };
-  const auto fail = [&](std::optional<sim::ProcessId> victim,
-                        const StateGraph* crashed, const Violation& v) {
-    r.verdict = v.property;
-    r.cex = compose_counterexample(healthy, codec, prototype, victim, crashed,
-                                   v);
-  };
-
-  const auto inv = label_invariant(healthy, codec, scratch);
-  if (const auto v = check_closure(healthy, inv)) {
-    fail(std::nullopt, nullptr, *v);
-    return r;
-  }
-  if (const auto v = check_convergence(healthy, inv)) {
-    fail(std::nullopt, nullptr, *v);
-    return r;
-  }
-  if (prototype.dead_processes().empty()) {
-    const auto prep = orbit_reps(healthy, topo.num_nodes());
-    for (NodeId p = 0; p < topo.num_nodes(); ++p) {
-      if (prep[p] == 0) continue;
-      if (const auto v = check_no_starvation(healthy, codec, p)) {
-        fail(std::nullopt, nullptr, *v);
-        return r;
-      }
-    }
-  }
-
-  const auto pre_dead = prototype.dead_processes();
-  if (!pre_dead.empty()) {
-    const auto dist = graph::distances_to_set(
-        topo, std::span<const NodeId>(pre_dead));
-    const auto far_bad =
-        label_far_violation(healthy, codec, scratch, dist, 2);
-    if (const auto v = check_far_safety(healthy, far_bad)) {
-      fail(std::nullopt, nullptr, *v);
-      return r;
-    }
-    const auto prep = orbit_reps(healthy, topo.num_nodes());
-    for (NodeId p = 0; p < topo.num_nodes(); ++p) {
-      if (!prototype.alive(p) || dist[p] <= 2 || !prototype.needs(p) ||
-          prep[p] == 0) {
-        continue;
-      }
-      if (const auto v = check_no_starvation(healthy, codec, p)) {
-        fail(std::nullopt, nullptr, *v);
-        return r;
-      }
-    }
-  } else if (spec.victims) {
-    const auto vrep = orbit_reps(healthy, topo.num_nodes());
-    for (NodeId victim = 0; victim < topo.num_nodes(); ++victim) {
-      if (vrep[victim] == 0) continue;
-      DinersSystem crashed_scratch = core::clone(prototype);
-      crashed_scratch.crash(victim);
-      Explorer::Options copts = opts;
-      copts.expected_states = healthy.num_states();
-      copts.demon_victim = victim;
-      Explorer demon(crashed_scratch, codec, copts);
-      const StateGraph crashed = demon.explore(healthy.keys);
-      r.reduction.raw_candidates += crashed.reduction.raw_candidates;
-      r.reduction.canonical_hits += crashed.reduction.canonical_hits;
-      if (!crashed.complete) {
-        r.verdict = "inconclusive";
-        return r;
-      }
-      const auto dead = crashed_scratch.dead_processes();
-      const auto dist =
-          graph::distances_to_set(topo, std::span<const NodeId>(dead));
-      const auto far_bad =
-          label_far_violation(crashed, codec, crashed_scratch, dist, 2);
-      if (const auto v = check_far_safety(crashed, far_bad)) {
-        fail(victim, &crashed, *v);
-        return r;
-      }
-      const auto crep = orbit_reps(crashed, topo.num_nodes());
-      for (NodeId p = 0; p < topo.num_nodes(); ++p) {
-        if (!crashed_scratch.alive(p) || dist[p] <= 2 ||
-            !crashed_scratch.needs(p) || crep[p] == 0) {
-          continue;
-        }
-        if (const auto v = check_no_starvation(crashed, codec, p)) {
-          fail(victim, &crashed, *v);
-          return r;
-        }
-      }
-    }
-  }
-  r.verdict = "verified";
-  return r;
+/// "verified", "inconclusive", or the violated property.
+std::string verdict(const ExhaustiveResult& r) {
+  if (r.cex) return r.cex->property;
+  return r.verdict == ExhaustiveResult::Verdict::kVerified ? "verified"
+                                                           : "inconclusive";
 }
 
 /// Replay outcome triple for comparing lifted counterexamples across
@@ -241,20 +118,19 @@ TEST(Reduction, DifferentialVerdictsMatchUnreducedOnSeedTopologies) {
          {GuardMutation::kNone, GuardMutation::kNoFixdepth,
           GuardMutation::kGreedyEnter}) {
       const DinersSystem proto = hungry_system(t.graph);
-      RunSpec spec;
-      spec.mutation = mutation;
-      const RunResult base = run_verify(proto, spec);
+      const ExhaustiveOptions spec = battery_options(mutation);
+      const ExhaustiveResult base = check(proto, spec);
 
       for (const bool por : {false, true}) {
-        RunSpec red = spec;
-        red.sym = true;
-        red.por = por;
-        red.compact = true;
-        const RunResult r = run_verify(proto, red);
+        ExhaustiveOptions red = spec;
+        red.explore.reduce_sym = true;
+        red.explore.reduce_por = por;
+        red.explore.compact_visited = true;
+        const ExhaustiveResult r = check(proto, red);
         const std::string ctx = t.name + " mutation=" +
                                 std::string(to_string(mutation)) +
                                 (por ? " sym,por" : " sym");
-        EXPECT_EQ(r.verdict, base.verdict) << ctx;
+        EXPECT_EQ(verdict(r), verdict(base)) << ctx;
         EXPECT_LE(r.healthy_states, base.healthy_states) << ctx;
         // Both found a counterexample: the lifted reduced trace must
         // replay exactly like the unreduced one.
@@ -267,10 +143,10 @@ TEST(Reduction, DifferentialVerdictsMatchUnreducedOnSeedTopologies) {
       // bit-identical to the unreduced one. One mutation suffices — the
       // proviso argument is mutation-independent.
       if (mutation == GuardMutation::kNone) {
-        RunSpec por_only = spec;
-        por_only.por = true;
-        const RunResult p = run_verify(proto, por_only);
-        EXPECT_EQ(p.verdict, base.verdict) << t.name;
+        ExhaustiveOptions por_only = spec;
+        por_only.explore.reduce_por = true;
+        const ExhaustiveResult p = check(proto, por_only);
+        EXPECT_EQ(verdict(p), verdict(base)) << t.name;
         EXPECT_EQ(p.healthy_states, base.healthy_states) << t.name;
         EXPECT_EQ(p.healthy_arcs, base.healthy_arcs) << t.name;
         EXPECT_EQ(p.reduction.por_arcs_pruned, 0u) << t.name;
@@ -293,14 +169,15 @@ TEST(Reduction, DifferentialVerdictsMatchOnFigure2) {
       core::restore(rebuilt, core::capture(proto));
       proto = std::move(rebuilt);
     }
-    RunSpec spec;
-    spec.mutation = mutation;
-    spec.box = false;
-    const RunResult base = run_verify(proto, spec);
-    RunSpec red = spec;
-    red.sym = red.por = red.compact = true;
-    const RunResult r = run_verify(proto, red);
-    EXPECT_EQ(r.verdict, base.verdict)
+    ExhaustiveOptions spec = battery_options(mutation);
+    spec.box_seeds = false;
+    spec.victims = false;
+    const ExhaustiveResult base = check(proto, spec);
+    ExhaustiveOptions red = spec;
+    red.explore.reduce_sym = red.explore.reduce_por = true;
+    red.explore.compact_visited = true;
+    const ExhaustiveResult r = check(proto, red);
+    EXPECT_EQ(verdict(r), verdict(base))
         << "figure2 mutation=" << to_string(mutation);
     EXPECT_LE(r.healthy_states, base.healthy_states);
   }
@@ -311,25 +188,26 @@ TEST(Reduction, InstanceSeededPorVerdictsMatchAndPrune) {
   // proviso can pass). Ring-5 crash-free: closure + convergence +
   // progress under none / por / sym,por must agree.
   const DinersSystem proto = hungry_system(graph::make_ring(5));
-  RunSpec spec;
-  spec.box = false;
+  ExhaustiveOptions spec = battery_options();
+  spec.box_seeds = false;
   spec.victims = false;
-  const RunResult base = run_verify(proto, spec);
-  EXPECT_EQ(base.verdict, "verified");
+  const ExhaustiveResult base = check(proto, spec);
+  EXPECT_EQ(verdict(base), "verified");
 
-  RunSpec por = spec;
-  por.por = true;
-  const RunResult rp = run_verify(proto, por);
-  EXPECT_EQ(rp.verdict, base.verdict);
+  ExhaustiveOptions por = spec;
+  por.explore.reduce_por = true;
+  const ExhaustiveResult rp = check(proto, por);
+  EXPECT_EQ(verdict(rp), verdict(base));
   EXPECT_LE(rp.healthy_states, base.healthy_states);
   EXPECT_LE(rp.healthy_arcs, base.healthy_arcs);
   EXPECT_GT(rp.reduction.por_ample_states, 0u);
   EXPECT_GT(rp.reduction.por_arcs_pruned, 0u);
 
-  RunSpec both = spec;
-  both.sym = both.por = both.compact = true;
-  const RunResult rb = run_verify(proto, both);
-  EXPECT_EQ(rb.verdict, base.verdict);
+  ExhaustiveOptions both = spec;
+  both.explore.reduce_sym = both.explore.reduce_por = true;
+  both.explore.compact_visited = true;
+  const ExhaustiveResult rb = check(proto, both);
+  EXPECT_EQ(verdict(rb), verdict(base));
   EXPECT_LT(rb.healthy_states, base.healthy_states);
 }
 
@@ -358,11 +236,7 @@ TEST(Reduction, RandomSymmetricLabelsGiveTheUnreducedVerdict) {
     const StateCodec codec(
         proto.topology(), 0,
         static_cast<std::int64_t>(*proto.config().diameter_override) + 1);
-    std::vector<Key> seeds;
-    seeds.reserve(codec.domain_size());
-    for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-      seeds.push_back(codec.domain_key(i));
-    }
+    const std::vector<Key> seeds = codec.domain_keys();
     const auto explore = [&](bool sym) {
       DinersSystem scratch = core::clone(proto);
       Explorer::Options opts;
@@ -423,15 +297,15 @@ TEST(Reduction, RingStateCountsShrinkByTheDihedralFactor) {
   // arbitrary-start box; ring-5 instance-seeded (its box is ~60M states).
   for (NodeId n = 4; n <= 5; ++n) {
     const DinersSystem proto = hungry_system(graph::make_ring(n));
-    RunSpec spec;
+    ExhaustiveOptions spec = battery_options();
     spec.victims = false;
-    spec.box = n == 4;
-    const RunResult base = run_verify(proto, spec);
-    RunSpec red = spec;
-    red.sym = true;
-    red.compact = true;
-    const RunResult r = run_verify(proto, red);
-    EXPECT_EQ(r.verdict, base.verdict);
+    spec.box_seeds = n == 4;
+    const ExhaustiveResult base = check(proto, spec);
+    ExhaustiveOptions red = spec;
+    red.explore.reduce_sym = true;
+    red.explore.compact_visited = true;
+    const ExhaustiveResult r = check(proto, red);
+    EXPECT_EQ(verdict(r), verdict(base));
     const std::uint64_t factor = 2u * n;
     EXPECT_GE(r.healthy_states * factor, base.healthy_states) << "ring " << n;
     EXPECT_LE(static_cast<double>(r.healthy_states) * factor,
@@ -512,14 +386,13 @@ TEST(Reduction, LiftedConvergenceCycleReplaysGreen) {
   // graph, must lift to a concrete trace that replays legally, closes its
   // cycle, and ends outside I — exactly like the unreduced trace.
   const DinersSystem proto = hungry_system(graph::make_ring(4));
-  RunSpec spec;
-  spec.mutation = GuardMutation::kNoFixdepth;
-  const RunResult base = run_verify(proto, spec);
-  RunSpec red = spec;
-  red.sym = red.compact = true;
-  const RunResult r = run_verify(proto, red);
-  ASSERT_EQ(base.verdict, "convergence");
-  ASSERT_EQ(r.verdict, "convergence");
+  const ExhaustiveOptions spec = battery_options(GuardMutation::kNoFixdepth);
+  const ExhaustiveResult base = check(proto, spec);
+  ExhaustiveOptions red = spec;
+  red.explore.reduce_sym = red.explore.compact_visited = true;
+  const ExhaustiveResult r = check(proto, red);
+  ASSERT_EQ(verdict(base), "convergence");
+  ASSERT_EQ(verdict(r), "convergence");
   ASSERT_TRUE(base.cex && r.cex);
   const ReplayOutcome expected{true, true, false};
   EXPECT_EQ(replay(proto, *base.cex), expected);
@@ -536,11 +409,7 @@ TEST(Reduction, LiftedCrashedStemsReplayLegally) {
   // all guards green.
   const DinersSystem proto = hungry_system(graph::make_ring(4));
   const StateCodec codec(proto.topology(), 0, 4);
-  std::vector<Key> seeds;
-  seeds.reserve(codec.domain_size());
-  for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-    seeds.push_back(codec.domain_key(i));
-  }
+  const std::vector<Key> seeds = codec.domain_keys();
   DinersSystem scratch = core::clone(proto);
   Explorer::Options opts;
   opts.reduce_sym = true;
@@ -580,15 +449,50 @@ TEST(Reduction, LiftedCrashedStemsReplayLegally) {
   EXPECT_GT(checked, 50u);
 }
 
+// ---- the threshold erratum's boundary ------------------------------------
+
+TEST(ExhaustiveCheck, ClosureBreaksBelowTheLongestPathAndAllHoldsAtIt) {
+  // From every state of the depth box, under sym,por, the algorithm breaks
+  // closure with the cycle threshold one below L(G), the longest simple
+  // path, and verifies every property at L(G). On line-4 (D = L = 3) and
+  // star-4 (D = L = 2) the paper's D = diameter is L(G).
+  struct Case {
+    const char* name;
+    graph::Graph g;
+    std::uint32_t longest_path;
+    std::uint64_t states_below, states_at;
+  };
+  const Case cases[] = {
+      {"line-4", graph::make_path(4), 3, 82'944, 202'500},
+      {"star-4", graph::make_star(4), 2, 10'260, 31'200},
+  };
+  ExhaustiveOptions options = battery_options();
+  options.explore.reduce_sym = options.explore.reduce_por = true;
+  options.explore.compact_visited = true;
+  options.explore.jobs = 2;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ExhaustiveResult below =
+        check(hungry_system(c.g, c.longest_path - 1), options);
+    EXPECT_EQ(below.verdict, ExhaustiveResult::Verdict::kCounterexample);
+    EXPECT_EQ(below.healthy_states, c.states_below);
+    ASSERT_TRUE(below.cex.has_value());
+    EXPECT_EQ(below.cex->property, "closure");
+
+    const ExhaustiveResult at =
+        check(hungry_system(c.g, c.longest_path), options);
+    EXPECT_EQ(at.verdict, ExhaustiveResult::Verdict::kVerified);
+    EXPECT_FALSE(at.cex.has_value());
+    EXPECT_EQ(at.healthy_states, c.states_at);
+  }
+}
+
 // ---- --max-states cap semantics under reduction -------------------------
 
 TEST(Reduction, CapCountsCanonicalStatesAndTruncationIsRejected) {
   const DinersSystem proto = hungry_system(graph::make_ring(4));
   const StateCodec codec(proto.topology(), 0, 4);
-  std::vector<Key> seeds;
-  for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
-    seeds.push_back(codec.domain_key(i));
-  }
+  const std::vector<Key> seeds = codec.domain_keys();
 
   // Unreduced, the box has 810000 reachable states — far past this cap.
   // Reduced, the canonical count fits, so exploration completes: the cap

@@ -17,7 +17,6 @@
 //   diners_chaos --backend=msgpass-unreliable --drop=0.01 --reorder=0.05
 //   diners_chaos --backend=threaded --rounds=50 --trials=2
 //   diners_chaos --mutate=no-fixdepth --corrupt-prob=1   # must exit 1
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -28,6 +27,7 @@
 #include "chaos/campaign.hpp"
 #include "chaos/report.hpp"
 #include "core/config.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "util/flags.hpp"
 #include "util/parse.hpp"
@@ -35,22 +35,8 @@
 
 namespace {
 
-/// Exit code 2: malformed user input (vs 1 for detected incidents).
-constexpr int kUsageError = 2;
-
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
-/// Probability flags must land in [0, 1]; anything else is a usage error.
-double probability(const diners::util::Flags& flags, const std::string& name) {
-  const double p = flags.f64(name);
-  if (p < 0.0 || p > 1.0) {
-    throw UsageError("--" + name + ": " + flags.str(name) +
-                     " is not a probability in [0, 1]");
-  }
-  return p;
-}
+using diners::util::probability;
+using diners::util::UsageError;
 
 void print_summary(const diners::chaos::CampaignOptions& options,
                    const diners::chaos::CampaignBatchResult& result) {
@@ -64,22 +50,6 @@ void print_summary(const diners::chaos::CampaignOptions& options,
               << result.recovery_steps.mean();
   }
   std::cerr << "\n";
-}
-
-/// Validates that the incident path is writable *before* the campaign runs:
-/// discovering an unwritable path only after hours of soaking would throw
-/// the incident evidence away. Leaves no trace if the file did not already
-/// exist. Throws UsageError (exit 2) on failure.
-void require_incident_path_writable(const std::string& path) {
-  if (path.empty()) return;
-  const bool existed = static_cast<bool>(std::ifstream(path));
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    throw UsageError("cannot write incident report to --incident path: " +
-                     path);
-  }
-  probe.close();
-  if (!existed) std::remove(path.c_str());
 }
 
 int run(const diners::util::Flags& flags) {
@@ -102,6 +72,11 @@ int run(const diners::util::Flags& flags) {
     }
     options.config.diameter_override =
         diners::core::parse_threshold(flags.str("threshold"), options.n);
+    // Each trial builds its own graph; a probe turns an unknown family, or
+    // a size it cannot take, into a usage error before any trial runs.
+    (void)diners::graph::make_named(options.topology, options.n,
+                                    options.topology_seed.value_or(0),
+                                    options.gnp_p);
   } catch (const std::invalid_argument& err) {
     throw UsageError(err.what());
   }
@@ -133,7 +108,11 @@ int run(const diners::util::Flags& flags) {
   batch.trials = flags.u64("trials", 1);
   batch.jobs = flags.u32("jobs", 1);
   batch.master_seed = flags.u64("seed");
-  require_incident_path_writable(flags.str("incident"));
+  // An unwritable path found only after hours of soaking would throw the
+  // incident evidence away.
+  diners::util::require_writable(
+      flags.str("incident"),
+      "cannot write incident report to --incident path: ");
 
   const auto result = diners::chaos::run_campaign_batch(options, batch);
   print_summary(options, result);
@@ -207,19 +186,6 @@ int main(int argc, char** argv) {
       .define("seed", "1", "master seed (trial seeds derive from it)")
       .define("incident", "chaos_incident.txt",
               "incident report path (empty = don't write)");
-  if (!flags.parse(argc, argv)) return kUsageError;
-  try {
-    return run(flags);
-  } catch (const UsageError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const diners::util::FlagError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const std::exception& err) {
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
-  }
+  if (!flags.parse(argc, argv)) return diners::util::kUsageError;
+  return diners::util::run_tool(run, flags);
 }

@@ -14,7 +14,6 @@
 // Example, against `diners_service --topology=ring --n=8 ... &`:
 //   diners_load --socket-dir=/tmp --nodes=8 --clients=8 --rps=400
 //       --duration-ms=2000 --out=load.json
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 
@@ -25,24 +24,7 @@
 
 namespace {
 
-constexpr int kUsageError = 2;
-
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
-/// Fails fast (exit 2) on an unwritable report path, leaving no trace if
-/// the file did not already exist.
-void require_writable(const std::string& path) {
-  if (path.empty()) return;
-  const bool existed = static_cast<bool>(std::ifstream(path));
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    throw UsageError("cannot write to --out path: " + path);
-  }
-  probe.close();
-  if (!existed) std::remove(path.c_str());
-}
+using diners::util::UsageError;
 
 void write_load_json(std::ostream& os,
                      const diners::service::LoadOptions& options,
@@ -122,7 +104,7 @@ int run(const diners::util::Flags& flags) {
   options.seed = flags.u64("seed");
 
   const std::string out_path = flags.str("out");
-  require_writable(out_path);
+  diners::util::require_writable(out_path, "cannot write to --out path: ");
 
   const auto report = diners::service::run_load(options);
   if (out_path.empty()) {
@@ -156,19 +138,6 @@ int main(int argc, char** argv) {
       .define("hold-us", "200", "critical-section dwell per grant")
       .define("seed", "1", "backoff jitter master seed")
       .define("out", "", "JSON report path (empty = stdout)");
-  if (!flags.parse(argc, argv)) return kUsageError;
-  try {
-    return run(flags);
-  } catch (const UsageError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const diners::util::FlagError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const std::exception& err) {
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
-  }
+  if (!flags.parse(argc, argv)) return diners::util::kUsageError;
+  return diners::util::run_tool(run, flags);
 }

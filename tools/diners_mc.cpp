@@ -1,18 +1,12 @@
 // diners_mc — bounded model checker and property-based verifier for the
 // paper's theorems on small instances.
 //
-// Exhaustive mode enumerates the full reachable global state space under
-// the nondeterministic daemon (by default from *every* state of the
-// arbitrary-start box — Theorem 1's premise) and checks:
-//
-//   closure      no legitimate state steps outside I;
-//   convergence  every weakly fair run reaches I (no stuck state, no
-//                fair-feasible cycle outside I);
-//   progress     no hungry process stays hungry forever on a fair run;
-//   locality     for every victim, after a malicious crash (all possible
-//                dying writes, interleaved arbitrarily — the demonic
-//                victim), processes at distance > 2 neither keep an eating
-//                violation nor starve (failure locality 2, Theorems 2/3).
+// Exhaustive mode is verify::check_exhaustive (verify/exhaustive.hpp): it
+// enumerates the full reachable global state space under the
+// nondeterministic daemon (by default from *every* state of the
+// arbitrary-start box — Theorem 1's premise) and checks closure,
+// convergence, progress and failure locality 2 under a demonic crash
+// victim (Theorems 2/3). This tool parses its flags and prints its result.
 //
 // Random mode (--random N) runs seeded corrupted-start trials plus
 // malicious-crash locality trials on instances too large to enumerate,
@@ -22,7 +16,7 @@
 // (--cex=FILE), consumable by `diners_sim --replay=FILE`.
 //
 // Exit codes: 0 verified, 1 counterexample found, 2 usage error,
-// 3 inconclusive (state cap hit).
+// 3 inconclusive (state cap hit, or box seeds past physical memory).
 //
 // Examples:
 //   diners_mc --topology=ring --n=4 --exhaustive
@@ -33,55 +27,52 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "analysis/invariants.hpp"
 #include "core/config.hpp"
 #include "core/diners_system.hpp"
 #include "core/figure2.hpp"
 #include "core/serialize.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/automorphisms.hpp"
 #include "graph/generators.hpp"
 #include "util/flags.hpp"
 #include "util/json_writer.hpp"
 #include "util/rss.hpp"
 #include "verify/canonical.hpp"
 #include "verify/counterexample.hpp"
-#include "verify/explorer.hpp"
+#include "verify/exhaustive.hpp"
 #include "verify/fuzz.hpp"
 #include "verify/mutation.hpp"
-#include "verify/properties.hpp"
-#include "verify/symmetry.hpp"
 
 namespace {
 
 using diners::core::DinersConfig;
 using diners::core::DinersSystem;
 using diners::graph::NodeId;
+using diners::util::UsageError;
 namespace verify = diners::verify;
 
 constexpr int kCounterexample = 1;
-constexpr int kUsageError = 2;
 constexpr int kInconclusive = 3;
 
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
+/// The --topology graph. An unknown family, or a size the family cannot
+/// take, is malformed input.
 diners::graph::Graph build_topology(const std::string& kind, NodeId n,
                                     std::uint64_t seed) {
-  if (kind == "ring") return diners::graph::make_ring(n);
-  if (kind == "line" || kind == "path") return diners::graph::make_path(n);
-  if (kind == "star") return diners::graph::make_star(n);
-  if (kind == "complete" || kind == "k4") {
-    return diners::graph::make_complete(kind == "k4" ? 4 : n);
+  namespace graph = diners::graph;
+  try {
+    if (kind == "ring") return graph::make_ring(n);
+    if (kind == "line" || kind == "path") return graph::make_path(n);
+    if (kind == "star") return graph::make_star(n);
+    if (kind == "complete" || kind == "k4") {
+      return graph::make_complete(kind == "k4" ? 4 : n);
+    }
+    if (kind == "tree") return graph::make_random_tree(n, seed);
+    if (kind == "figure2") return graph::make_figure2_topology();
+  } catch (const std::invalid_argument& err) {
+    throw UsageError(err.what());
   }
-  if (kind == "tree") return diners::graph::make_random_tree(n, seed);
-  if (kind == "figure2") return diners::graph::make_figure2_topology();
   throw UsageError("unknown topology: " + kind);
 }
 
@@ -91,44 +82,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-struct CheckSet {
-  bool closure = false;
-  bool convergence = false;
-  bool progress = false;
-  bool locality = false;
-};
+/// The --reduce set, normalized: none, sym, por or sym,por.
+std::string reduce_name(const verify::Explorer::Options& e) {
+  if (e.reduce_sym && e.reduce_por) return "sym,por";
+  if (e.reduce_sym) return "sym";
+  if (e.reduce_por) return "por";
+  return "none";
+}
 
-/// Exhaustive-mode throughput accounting for the --json summary. Exploration
-/// totals cover the healthy graph plus every demonic-victim re-exploration;
+/// The exhaustive-mode --json summary. Exploration totals cover the
+/// healthy graph plus every demonic-victim re-exploration;
 /// states_per_second is their ratio (exploration only, property checks and
 /// seed construction excluded).
-struct ExhaustiveStats {
-  unsigned jobs = 1;
-  std::uint64_t healthy_states = 0;
-  std::uint64_t healthy_arcs = 0;
-  std::uint32_t layers = 0;
-  std::uint64_t legitimate = 0;
-  std::uint64_t explored_states_total = 0;
-  double explore_seconds = 0;
-  double wall_seconds = 0;
-  /// Reduction accounting, summed over the healthy exploration and every
-  /// demonic-victim re-exploration.
-  std::string reduce_mode = "none";
-  verify::StateGraph::ReductionStats reduction;
-  /// Property-check phases, in seconds. locality sums the labelling and
-  /// checks of every victim (and of an instance's existing dead set).
-  struct Phases {
-    double label = 0;
-    double closure = 0;
-    double convergence = 0;
-    double progress = 0;
-    double locality = 0;
-  } phases;
-};
-
 void write_json_summary(std::ostream& os, const std::string& topology,
-                        NodeId n, const std::string& mutation,
-                        const ExhaustiveStats& s, int rc) {
+                        NodeId n, const verify::ExhaustiveOptions& o,
+                        const verify::ExhaustiveResult& s,
+                        double wall_seconds, int rc) {
   const char* result = rc == 0              ? "verified"
                        : rc == kInconclusive ? "inconclusive"
                                              : "counterexample";
@@ -144,8 +113,8 @@ void write_json_summary(std::ostream& os, const std::string& topology,
   w.field("mode", "exhaustive");
   w.field("topology", topology);
   w.field("n", static_cast<std::uint64_t>(n));
-  w.field("jobs", s.jobs);
-  w.field("mutation", mutation);
+  w.field("jobs", o.explore.jobs);
+  w.field("mutation", std::string(verify::to_string(o.explore.mutation)));
   w.field("result", result);
   w.field("healthy_states", s.healthy_states);
   w.field("healthy_arcs", s.healthy_arcs);
@@ -154,7 +123,7 @@ void write_json_summary(std::ostream& os, const std::string& topology,
   w.field("explored_states_total", s.explored_states_total);
   w.field("explore_seconds", s.explore_seconds);
   w.field("states_per_second", sps);
-  w.field("wall_seconds", s.wall_seconds);
+  w.field("wall_seconds", wall_seconds);
   // Appended in schema v2 (append-only: consumers of the fields above are
   // unaffected). canonical_hit_ratio is the fraction of generated successor
   // candidates that canonicalization rewrote to a different orbit
@@ -167,7 +136,7 @@ void write_json_summary(std::ostream& os, const std::string& topology,
           : 0.0;
   w.key("reduction");
   w.begin_object();
-  w.field("mode", s.reduce_mode);
+  w.field("mode", reduce_name(o.explore));
   w.field("raw_candidates", s.reduction.raw_candidates);
   w.field("canonical_hits", s.reduction.canonical_hits);
   w.field("canonical_hit_ratio", hit_ratio);
@@ -188,72 +157,55 @@ void write_json_summary(std::ostream& os, const std::string& topology,
   w.finish();
 }
 
-CheckSet parse_checks(const std::string& csv) {
-  CheckSet c;
+/// Calls `on` with each non-empty token of a comma list.
+template <typename F>
+void for_each_token(const std::string& csv, F on) {
   std::istringstream in(csv);
   std::string token;
   while (std::getline(in, token, ',')) {
-    if (token.empty()) continue;
+    if (!token.empty()) on(token);
+  }
+}
+
+/// Turns on the properties the --check comma list names, and only those.
+void parse_checks(const std::string& csv, verify::ExhaustiveOptions& o) {
+  o.closure = o.convergence = o.progress = o.locality = false;
+  for_each_token(csv, [&o](const std::string& token) {
     if (token == "all") {
-      c.closure = c.convergence = c.progress = c.locality = true;
+      o.closure = o.convergence = o.progress = o.locality = true;
     } else if (token == "closure") {
-      c.closure = true;
+      o.closure = true;
     } else if (token == "convergence") {
-      c.convergence = true;
+      o.convergence = true;
     } else if (token == "progress") {
-      c.progress = true;
+      o.progress = true;
     } else if (token == "locality") {
-      c.locality = true;
+      o.locality = true;
     } else {
       throw UsageError("bad --check token '" + token + "'");
     }
-  }
-  return c;
+  });
 }
 
-struct ReduceSet {
-  bool sym = false;
-  bool por = false;
-
-  [[nodiscard]] std::string name() const {
-    if (sym && por) return "sym,por";
-    if (sym) return "sym";
-    if (por) return "por";
-    return "none";
-  }
-};
-
-ReduceSet parse_reduce(const std::string& csv) {
-  ReduceSet r;
-  std::istringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (token.empty() || token == "none") continue;
+void parse_reduce(const std::string& csv, verify::Explorer::Options& e) {
+  for_each_token(csv, [&e](const std::string& token) {
     if (token == "sym") {
-      r.sym = true;
+      e.reduce_sym = true;
     } else if (token == "por") {
-      r.por = true;
-    } else {
+      e.reduce_por = true;
+    } else if (token != "none") {
       throw UsageError("bad --reduce token '" + token +
                        "' (want none|sym|por)");
     }
-  }
-  return r;
+  });
 }
 
-bool parse_compact(const std::string& text, const ReduceSet& reduce) {
-  if (text == "auto") return reduce.sym || reduce.por;
+bool parse_compact(const std::string& text,
+                   const verify::Explorer::Options& e) {
+  if (text == "auto") return e.reduce_sym || e.reduce_por;
   if (text == "on" || text == "true") return true;
   if (text == "off" || text == "false") return false;
   throw UsageError("bad --compact '" + text + "' (want auto|on|off)");
-}
-
-void accumulate(verify::StateGraph::ReductionStats& into,
-                const verify::StateGraph::ReductionStats& from) {
-  into.raw_candidates += from.raw_candidates;
-  into.canonical_hits += from.canonical_hits;
-  into.por_ample_states += from.por_ample_states;
-  into.por_arcs_pruned += from.por_arcs_pruned;
 }
 
 std::pair<std::int64_t, std::int64_t> parse_depth_box(const std::string& text,
@@ -274,6 +226,43 @@ std::pair<std::int64_t, std::int64_t> parse_depth_box(const std::string& text,
   } catch (const std::exception&) {
     throw UsageError("bad --depth-box '" + text + "' (want MIN:MAX)");
   }
+}
+
+/// The check_exhaustive options the flags select.
+verify::ExhaustiveOptions exhaustive_options(
+    const diners::util::Flags& flags, const DinersSystem& prototype,
+    verify::GuardMutation mutation) {
+  verify::ExhaustiveOptions o;
+  parse_checks(flags.str("check"), o);
+  o.explore.mutation = mutation;
+  o.explore.max_states = flags.u32("max-states", 1);
+  o.explore.jobs = flags.u32("jobs", 1);
+  parse_reduce(flags.str("reduce"), o.explore);
+  o.explore.compact_visited = parse_compact(flags.str("compact"), o.explore);
+  std::string seeds_mode = flags.str("seeds");
+  if (seeds_mode == "auto") {
+    // figure2 is a pinned mid-run scenario; its arbitrary-start box is far
+    // beyond enumeration, and the theorems' premise there is the drawn state.
+    seeds_mode = flags.str("topology") == "figure2" ? "instance" : "box";
+  }
+  if (seeds_mode != "box" && seeds_mode != "instance") {
+    throw UsageError("bad --seeds '" + seeds_mode + "' (want box|instance)");
+  }
+  o.box_seeds = seeds_mode == "box";
+  std::string victims_mode = flags.str("victims");
+  if (victims_mode == "auto") {
+    // An instance that already carries a crash (figure2) is checked against
+    // its own dead set; stacking a second demonic victim on top goes beyond
+    // the theorems' single-scenario premise (and past any reasonable state
+    // cap). Crash-free instances get every victim.
+    victims_mode = prototype.dead_processes().empty() ? "each" : "none";
+  }
+  if (o.locality && victims_mode != "each" && victims_mode != "none") {
+    throw UsageError("bad --victims '" + victims_mode +
+                     "' (want each|none|auto)");
+  }
+  o.victims = victims_mode == "each";
+  return o;
 }
 
 int report_counterexample(const verify::Counterexample& cex,
@@ -298,286 +287,43 @@ int report_counterexample(const verify::Counterexample& cex,
 }
 
 int run_exhaustive(const diners::util::Flags& flags,
-                   DinersSystem& prototype, const verify::StateCodec& codec,
-                   verify::GuardMutation mutation, const CheckSet& checks,
-                   ExhaustiveStats& stats) {
+                   const DinersSystem& prototype,
+                   const verify::StateCodec& codec,
+                   verify::GuardMutation mutation) {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint32_t max_states = flags.u32("max-states", 1);
-  const unsigned jobs = flags.u32("jobs", 1);
-  stats.jobs = jobs;
-  const ReduceSet reduce = parse_reduce(flags.str("reduce"));
-  const bool compact = parse_compact(flags.str("compact"), reduce);
-  stats.reduce_mode = reduce.name();
-  std::string seeds_mode = flags.str("seeds");
-  if (seeds_mode == "auto") {
-    // figure2 is a pinned mid-run scenario; its arbitrary-start box is far
-    // beyond enumeration, and the theorems' premise there is the drawn state.
-    seeds_mode = flags.str("topology") == "figure2" ? "instance" : "box";
-  }
-
-  std::vector<verify::Key> seeds;
-  if (seeds_mode == "box") {
-    const std::uint64_t total = codec.domain_size();
-    // Under sym, --max-states counts canonical states. An orbit holds at
-    // most |G| box states (orbit-stabilizer), so the quotient holds at least
-    // total / |G|: refuse only when even that bound exceeds the cap. No
-    // group the explorer accepts exceeds kMaxElements, so a box too big
-    // for that is refused without building the group.
-    std::uint64_t group_order = 1;
-    if (reduce.sym && total > max_states &&
-        total <= std::uint64_t{max_states} *
-                     verify::SymmetryGroup::kMaxElements) {
-      group_order =
-          verify::SymmetryGroup(
-              codec, diners::graph::automorphism_generators(
-                         prototype.topology()))
-              .size();
-    }
-    if (total > max_states * group_order) {
-      std::cout << "INCONCLUSIVE: arbitrary-start box has " << total
-                << " states";
-      if (group_order > 1) {
-        std::cout << ", at least " << (total + group_order - 1) / group_order
-                  << " canonical (symmetry group of order " << group_order
-                  << ")";
-      }
-      std::cout << " > --max-states=" << max_states << "\n";
-      return kInconclusive;
-    }
-    seeds.reserve(total);
-    for (std::uint64_t i = 0; i < total; ++i) {
-      seeds.push_back(codec.domain_key(i));
-    }
-  } else if (seeds_mode == "instance") {
-    seeds.push_back(codec.encode(prototype));
+  const verify::ExhaustiveOptions options =
+      exhaustive_options(flags, prototype, mutation);
+  const verify::ExhaustiveResult result =
+      verify::check_exhaustive(prototype, codec, options, std::cout);
+  int rc = 0;
+  if (result.cex) {
+    rc = report_counterexample(*result.cex, prototype, flags.str("cex"));
+  } else if (result.verdict ==
+             verify::ExhaustiveResult::Verdict::kInconclusive) {
+    rc = kInconclusive;
   } else {
-    throw UsageError("bad --seeds '" + seeds_mode + "' (want box|instance)");
+    std::cout << "VERIFIED " << flags.str("topology")
+              << " n=" << prototype.topology().num_nodes() << ": "
+              << result.healthy_states << " states, wall "
+              << seconds_since(t0) << " s\n";
   }
-
-  DinersSystem scratch = diners::core::clone(prototype);
-  verify::Explorer::Options opts;
-  opts.mutation = mutation;
-  opts.max_states = max_states;
-  opts.jobs = jobs;
-  opts.reduce_sym = reduce.sym;
-  opts.reduce_por = reduce.por;
-  opts.compact_visited = compact;
-  // Box seeding knows the exact reachable count up front (the box is
-  // closed under the protocol); instance seeding lets the explorer derive
-  // its own hint. Under symmetry reduction the box count is an
-  // overestimate of the canonical count — still a safe reserve hint.
-  if (seeds_mode == "box") opts.expected_states = seeds.size();
-  verify::Explorer explorer(scratch, codec, opts);
-  const auto te0 = std::chrono::steady_clock::now();
-  const verify::StateGraph healthy = explorer.explore(seeds);
-  const double healthy_seconds = seconds_since(te0);
-  // The healthy graph holds every admitted seed; the raw box (16 B per
-  // state, ~0.97 GB for ring-5) is dead weight from here on.
-  std::vector<verify::Key>().swap(seeds);
-  stats.explore_seconds += healthy_seconds;
-  stats.explored_states_total += healthy.num_states();
-  accumulate(stats.reduction, healthy.reduction);
-  stats.healthy_states = healthy.num_states();
-  stats.healthy_arcs = healthy.succ.size();
-  stats.layers = healthy.layers;
-  if (!healthy.complete) {
-    std::cout << "INCONCLUSIVE: hit --max-states=" << max_states << " ("
-              << healthy.num_states() << " states explored)\n";
-    return kInconclusive;
-  }
-
-  // Adds the time since `t` to `phase` when the enclosing scope ends, on
-  // every return path (a phase that finds a violation includes composing
-  // and writing its counterexample).
-  struct PhaseTimer {
-    double& phase;
-    std::chrono::steady_clock::time_point t = std::chrono::steady_clock::now();
-    ~PhaseTimer() { phase += seconds_since(t); }
-  };
-  const auto inv = [&] {
-    const PhaseTimer timer{stats.phases.label};
-    return verify::label_invariant(healthy, codec, scratch);
-  }();
-  std::uint64_t legit = 0;
-  for (const auto b : inv) legit += b;
-  stats.legitimate = legit;
-  std::cout << "explored " << healthy.num_states() << " states, "
-            << healthy.succ.size() << " arcs, " << healthy.layers
-            << " layers in " << seconds_since(t0) << " s ("
-            << static_cast<std::uint64_t>(
-                   healthy_seconds > 0
-                       ? healthy.num_states() / healthy_seconds
-                       : 0)
-            << " states/s); " << legit << " legitimate\n";
-  if (reduce.sym || reduce.por) {
-    std::cout << "reduction " << reduce.name() << ": "
-              << healthy.reduction.canonical_hits << "/"
-              << healthy.reduction.raw_candidates
-              << " candidates canonicalized, "
-              << healthy.reduction.por_ample_states << " ample states ("
-              << healthy.reduction.por_arcs_pruned << " arcs pruned)"
-              << (healthy.sym ? "" : "; no nontrivial symmetry") << "\n";
-  }
-
-  // One representative per process orbit of the graph's symmetry group:
-  // check_* verdicts for p cover every process some automorphism maps p
-  // to, so the sibling checks are redundant. All-true when unreduced.
-  const auto orbit_reps = [](const verify::StateGraph& sg, NodeId nn) {
-    std::vector<std::uint8_t> rep(nn, 1);
-    if (sg.sym != nullptr) {
-      for (const auto& orb : sg.sym->node_orbits()) {
-        for (std::size_t i = 1; i < orb.size(); ++i) rep[orb[i]] = 0;
-      }
-    }
-    return rep;
-  };
-
-  const std::string cex_path = flags.str("cex");
-  const auto fail = [&](std::optional<NodeId> victim,
-                        const verify::StateGraph* crashed,
-                        const verify::Violation& v) {
-    return report_counterexample(
-        verify::compose_counterexample(healthy, codec, prototype, victim,
-                                       crashed, v),
-        prototype, cex_path);
-  };
-
-  if (checks.closure) {
-    const PhaseTimer timer{stats.phases.closure};
-    if (const auto v = verify::check_closure(healthy, inv)) {
-      return fail(std::nullopt, nullptr, *v);
-    }
-    std::cout << "closure: OK\n";
-  }
-  if (checks.convergence) {
-    const PhaseTimer timer{stats.phases.convergence};
-    if (const auto v = verify::check_convergence(healthy, inv)) {
-      return fail(std::nullopt, nullptr, *v);
-    }
-    std::cout << "convergence: OK\n";
-  }
-  if (checks.progress) {
-    const PhaseTimer timer{stats.phases.progress};
-    if (prototype.dead_processes().empty()) {
-      // Individual progress for everyone holds only crash-free; with dead
-      // processes present the locality check below covers the far ones (the
-      // near ones are exactly what failure locality 2 permits to starve).
-      const auto prep = orbit_reps(healthy, prototype.topology().num_nodes());
-      for (NodeId p = 0; p < prototype.topology().num_nodes(); ++p) {
-        if (prep[p] == 0) continue;
-        if (const auto v = verify::check_no_starvation(healthy, codec, p)) {
-          return fail(std::nullopt, nullptr, *v);
-        }
-      }
-      std::cout << "progress: OK\n";
+  const double wall_seconds = seconds_since(t0);
+  const std::string json_path = flags.str("json");
+  if (!json_path.empty()) {
+    const auto write = [&](std::ostream& os) {
+      write_json_summary(os, flags.str("topology"),
+                         prototype.topology().num_nodes(), options, result,
+                         wall_seconds, rc);
+    };
+    if (json_path == "-") {
+      write(std::cout);
     } else {
-      std::cout << "progress: skipped (instance has dead processes; see "
-                   "locality)\n";
+      std::ofstream out(json_path);
+      if (!out) throw UsageError("cannot write --json file " + json_path);
+      write(out);
     }
   }
-
-  if (checks.locality) {
-    const auto& g = prototype.topology();
-    const auto pre_dead = prototype.dead_processes();
-    if (!pre_dead.empty()) {
-      // The instance already carries a crash (e.g. figure2): analyse the
-      // explored graph directly against its dead set.
-      const PhaseTimer timer{stats.phases.locality};
-      const auto dist = diners::graph::distances_to_set(
-          g, std::span<const NodeId>(pre_dead));
-      const auto far_bad =
-          verify::label_far_violation(healthy, codec, scratch, dist, 2);
-      if (const auto v = verify::check_far_safety(healthy, far_bad)) {
-        return fail(std::nullopt, nullptr, *v);
-      }
-      const auto prep = orbit_reps(healthy, g.num_nodes());
-      for (NodeId p = 0; p < g.num_nodes(); ++p) {
-        if (!prototype.alive(p) || dist[p] <= 2 || !prototype.needs(p) ||
-            prep[p] == 0) {
-          continue;
-        }
-        if (const auto v = verify::check_no_starvation(healthy, codec, p)) {
-          return fail(std::nullopt, nullptr, *v);
-        }
-      }
-      std::cout << "locality(existing dead set): OK\n";
-    }
-    std::string victims_mode = flags.str("victims");
-    if (victims_mode == "auto") {
-      // An instance that already carries a crash (figure2) is checked
-      // against its own dead set above; stacking a second demonic victim on
-      // top goes beyond the theorems' single-scenario premise (and past any
-      // reasonable state cap). Crash-free instances get every victim.
-      victims_mode = pre_dead.empty() ? "each" : "none";
-    }
-    if (victims_mode != "each" && victims_mode != "none") {
-      throw UsageError("bad --victims '" + victims_mode +
-                       "' (want each|none|auto)");
-    }
-    // One victim per orbit of the healthy graph's symmetry group: crashing
-    // π(v) produces a state graph isomorphic (via A_π) to crashing v, so
-    // one demonic re-exploration covers the whole orbit.
-    const auto vrep = orbit_reps(healthy, g.num_nodes());
-    for (NodeId victim = 0;
-         victims_mode == "each" && victim < g.num_nodes(); ++victim) {
-      if (!prototype.alive(victim)) continue;
-      if (vrep[victim] == 0) {
-        std::cout << "locality(victim " << victim
-                  << "): covered by its orbit representative\n";
-        continue;
-      }
-      DinersSystem crashed_scratch = diners::core::clone(prototype);
-      crashed_scratch.crash(victim);
-      verify::Explorer::Options copts;
-      copts.mutation = mutation;
-      copts.max_states = max_states;
-      copts.jobs = jobs;
-      copts.expected_states = healthy.num_states();
-      copts.demon_victim = victim;
-      copts.reduce_sym = reduce.sym;
-      copts.reduce_por = reduce.por;
-      copts.compact_visited = compact;
-      verify::Explorer demon(crashed_scratch, codec, copts);
-      const auto tv0 = std::chrono::steady_clock::now();
-      const verify::StateGraph crashed = demon.explore(healthy.keys);
-      stats.explore_seconds += seconds_since(tv0);
-      stats.explored_states_total += crashed.num_states();
-      accumulate(stats.reduction, crashed.reduction);
-      if (!crashed.complete) {
-        std::cout << "INCONCLUSIVE: victim " << victim << " hit --max-states="
-                  << max_states << "\n";
-        return kInconclusive;
-      }
-      const PhaseTimer timer{stats.phases.locality};
-      const auto dead = crashed_scratch.dead_processes();
-      const auto dist = diners::graph::distances_to_set(
-          g, std::span<const NodeId>(dead));
-      const auto far_bad = verify::label_far_violation(crashed, codec,
-                                                       crashed_scratch, dist,
-                                                       2);
-      if (const auto v = verify::check_far_safety(crashed, far_bad)) {
-        return fail(victim, &crashed, *v);
-      }
-      const auto crep = orbit_reps(crashed, g.num_nodes());
-      for (NodeId p = 0; p < g.num_nodes(); ++p) {
-        if (!crashed_scratch.alive(p) || dist[p] <= 2 ||
-            !crashed_scratch.needs(p) || crep[p] == 0) {
-          continue;
-        }
-        if (const auto v = verify::check_no_starvation(crashed, codec, p)) {
-          return fail(victim, &crashed, *v);
-        }
-      }
-      std::cout << "locality(victim " << victim << "): OK, "
-                << crashed.num_states() << " states\n";
-    }
-  }
-
-  std::cout << "VERIFIED " << flags.str("topology")
-            << " n=" << prototype.topology().num_nodes() << ": "
-            << healthy.num_states() << " states, wall " << seconds_since(t0)
-            << " s\n";
-  return 0;
+  return rc;
 }
 
 int run_random(const diners::util::Flags& flags, DinersSystem& prototype,
@@ -658,27 +404,7 @@ int run(const diners::util::Flags& flags) {
             << " depth-box=" << dmin << ":" << dmax << " mutation="
             << verify::to_string(mutation) << "\n";
   if (exhaustive) {
-    const CheckSet checks = parse_checks(flags.str("check"));
-    ExhaustiveStats stats;
-    const auto tx0 = std::chrono::steady_clock::now();
-    const int rc =
-        run_exhaustive(flags, prototype, codec, mutation, checks, stats);
-    stats.wall_seconds = seconds_since(tx0);
-    const std::string json_path = flags.str("json");
-    if (!json_path.empty()) {
-      const auto write = [&](std::ostream& os) {
-        write_json_summary(os, topo, prototype.topology().num_nodes(),
-                           std::string(verify::to_string(mutation)), stats,
-                           rc);
-      };
-      if (json_path == "-") {
-        write(std::cout);
-      } else {
-        std::ofstream out(json_path);
-        if (!out) throw UsageError("cannot write --json file " + json_path);
-        write(out);
-      }
-    }
+    const int rc = run_exhaustive(flags, prototype, codec, mutation);
     if (rc != 0) return rc;
   }
   if (random_trials > 0) {
@@ -733,20 +459,6 @@ int main(int argc, char** argv) {
       .define("crashes", "1", "random-mode victims per locality trial")
       .define("malicious-steps", "3",
               "random-mode dying writes per malicious crash");
-  if (!flags.parse(argc, argv)) return kUsageError;
-
-  try {
-    return run(flags);
-  } catch (const UsageError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const diners::util::FlagError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const std::exception& err) {
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
-  }
+  if (!flags.parse(argc, argv)) return diners::util::kUsageError;
+  return diners::util::run_tool(run, flags);
 }

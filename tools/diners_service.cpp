@@ -20,7 +20,6 @@
 //   diners_service --topology=ring --n=8 --duration-ms=5000 &
 //   diners_service --campaign --topology=ring --n=16 --victim=0
 //       --rps=400 --out=slo.json
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -33,34 +32,8 @@
 
 namespace {
 
-constexpr int kUsageError = 2;
-
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
-
-double probability(const diners::util::Flags& flags, const std::string& name) {
-  const double p = flags.f64(name);
-  if (p < 0.0 || p > 1.0) {
-    throw UsageError("--" + name + ": " + flags.str(name) +
-                     " is not a probability in [0, 1]");
-  }
-  return p;
-}
-
-/// Validates that `path` is creatable/appendable *now*, so a long campaign
-/// cannot end by discovering an unwritable report path. Leaves no trace if
-/// the file did not already exist.
-void require_writable(const std::string& path) {
-  if (path.empty()) return;
-  const bool existed = static_cast<bool>(std::ifstream(path));
-  std::ofstream probe(path, std::ios::app);
-  if (!probe) {
-    throw UsageError("cannot write to --out path: " + path);
-  }
-  probe.close();
-  if (!existed) std::remove(path.c_str());
-}
+using diners::util::probability;
+using diners::util::UsageError;
 
 int run(const diners::util::Flags& flags) {
   diners::service::LiveCampaignOptions options;
@@ -105,7 +78,7 @@ int run(const diners::util::Flags& flags) {
   }
 
   const std::string out_path = flags.str("out");
-  require_writable(out_path);
+  diners::util::require_writable(out_path, "cannot write to --out path: ");
 
   options.victim = flags.u32("victim");
   if (options.victim >= options.graph.num_nodes()) {
@@ -183,19 +156,6 @@ int main(int argc, char** argv) {
       .define("far-distance", "3",
               "campaign: distance at which clients count as far")
       .define("out", "", "campaign: SLO JSON path (empty = stdout)");
-  if (!flags.parse(argc, argv)) return kUsageError;
-  try {
-    return run(flags);
-  } catch (const UsageError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const diners::util::FlagError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const std::exception& err) {
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
-  }
+  if (!flags.parse(argc, argv)) return diners::util::kUsageError;
+  return diners::util::run_tool(run, flags);
 }

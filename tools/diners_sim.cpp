@@ -44,14 +44,19 @@ using diners::core::DinersConfig;
 using diners::core::DinersSystem;
 using diners::graph::NodeId;
 
-/// Exit code 2: malformed user input (vs 1 for runtime failures).
-constexpr int kUsageError = 2;
+using diners::util::kUsageError;
+using diners::util::UsageError;
 
-/// Thrown for malformed flag values; main() turns it into a friendly
-/// message plus exit code 2.
-struct UsageError : std::invalid_argument {
-  using std::invalid_argument::invalid_argument;
-};
+/// The --topology graph. An unknown family, or a size the family cannot
+/// take, is malformed input.
+diners::graph::Graph make_topology(const diners::util::Flags& flags,
+                                   NodeId n, std::uint64_t seed) {
+  try {
+    return diners::graph::make_named(flags.str("topology"), n, seed);
+  } catch (const std::invalid_argument& err) {
+    throw UsageError(err.what());
+  }
+}
 
 diners::sim::EngineKind parse_engine(const std::string& name) {
   if (name == "object") return diners::sim::EngineKind::kObject;
@@ -63,7 +68,7 @@ int run_diners(const diners::util::Flags& flags) {
   const NodeId n = flags.u32("n", 1, diners::graph::kNoNode - 1);
   const std::uint64_t seed = flags.u64("seed");
   const std::uint64_t steps = flags.u64("steps");
-  auto g = diners::graph::make_named(flags.str("topology"), n, seed);
+  auto g = make_topology(flags, n, seed);
 
   DinersConfig cfg;
   // Validated inputs: a typo'd --threshold or --crash must produce a usage
@@ -182,7 +187,7 @@ int run_batch_mode(const diners::util::Flags& flags) {
 
   // Validate user input against a probe topology (seeded families resample
   // per trial, but the node count is seed-independent for every family).
-  const auto probe = diners::graph::make_named(scenario.topology, n, seed);
+  const auto probe = make_topology(flags, n, seed);
   try {
     scenario.diameter_override = diners::core::parse_threshold(
         flags.str("threshold"), probe.num_nodes());
@@ -340,7 +345,7 @@ template <typename System>
 int run_baseline(const diners::util::Flags& flags) {
   const NodeId n = flags.u32("n", 1, diners::graph::kNoNode - 1);
   const std::uint64_t seed = flags.u64("seed");
-  System system(diners::graph::make_named(flags.str("topology"), n, seed));
+  System system(make_topology(flags, n, seed));
   diners::sim::Engine engine(
       system, diners::sim::make_daemon(flags.str("daemon"), seed), 256);
   engine.run(flags.u64("steps"));
@@ -353,6 +358,28 @@ int run_baseline(const diners::util::Flags& flags) {
   t.print(std::cout);
   std::cout << "total meals: " << system.total_meals() << "\n";
   return 0;
+}
+
+int run(const diners::util::Flags& flags) {
+  if (!flags.str("replay").empty()) return run_replay(flags.str("replay"));
+  const std::string algorithm = flags.str("algorithm");
+  if (flags.u64("trials") > 0) {
+    if (algorithm != "nesterenko-arora") {
+      std::cerr << "error: --trials sweep mode supports only the "
+                   "nesterenko-arora algorithm\n";
+      return kUsageError;
+    }
+    return run_batch_mode(flags);
+  }
+  if (algorithm == "nesterenko-arora") return run_diners(flags);
+  if (algorithm == "chandy-misra") {
+    return run_baseline<diners::algorithms::ChandyMisraSystem>(flags);
+  }
+  if (algorithm == "ordered-resource") {
+    return run_baseline<diners::algorithms::OrderedResourceSystem>(flags);
+  }
+  std::cerr << "unknown algorithm: " << algorithm << "\n";
+  return 1;
 }
 
 }  // namespace
@@ -397,37 +424,5 @@ int main(int argc, char** argv) {
       .define("replay", "",
               "replay a diners_mc counterexample file and exit");
   if (!flags.parse(argc, argv)) return kUsageError;
-
-  try {
-    if (!flags.str("replay").empty()) return run_replay(flags.str("replay"));
-    const std::string algorithm = flags.str("algorithm");
-    if (flags.u64("trials") > 0) {
-      if (algorithm != "nesterenko-arora") {
-        std::cerr << "error: --trials sweep mode supports only the "
-                     "nesterenko-arora algorithm\n";
-        return kUsageError;
-      }
-      return run_batch_mode(flags);
-    }
-    if (algorithm == "nesterenko-arora") return run_diners(flags);
-    if (algorithm == "chandy-misra") {
-      return run_baseline<diners::algorithms::ChandyMisraSystem>(flags);
-    }
-    if (algorithm == "ordered-resource") {
-      return run_baseline<diners::algorithms::OrderedResourceSystem>(flags);
-    }
-    std::cerr << "unknown algorithm: " << algorithm << "\n";
-    return 1;
-  } catch (const UsageError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const diners::util::FlagError& err) {
-    std::cerr << "error: " << err.what() << "\n"
-              << "run with --help for usage\n";
-    return kUsageError;
-  } catch (const std::exception& err) {
-    std::cerr << "error: " << err.what() << "\n";
-    return 1;
-  }
+  return diners::util::run_tool(run, flags);
 }
