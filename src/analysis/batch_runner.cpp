@@ -59,6 +59,8 @@ BatchResult run_batch(const BatchOptions& options, const TrialFn& fn) {
     result.starved.add(static_cast<double>(out.starved));
     result.max_locality_radius =
         std::max(result.max_locality_radius, out.locality_radius);
+    result.steps += out.steps;
+    result.forced_steps += out.forced_steps;
   }
 
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -132,6 +134,8 @@ TrialOutput run_scenario_trial(const ScenarioOptions& scenario,
   } else {
     out.meals = system.total_meals();
   }
+  out.steps = harness.engine().steps();
+  out.forced_steps = harness.engine().forced_steps();
   return out;
 }
 

@@ -43,6 +43,10 @@ struct TrialOutput {
   std::uint64_t starved = 0;
   /// StarvationReport::locality_radius of the window (0 without one).
   std::uint32_t locality_radius = 0;
+  /// Engine steps the trial executed, and how many of them the fairness
+  /// bound forced (sim::EngineBase::forced_steps); 0 when not counted.
+  std::uint64_t steps = 0;
+  std::uint64_t forced_steps = 0;
 };
 
 /// A trial: index plus its derived seed -> output. Must not touch shared
@@ -71,6 +75,9 @@ struct BatchResult {
   /// Max locality radius over all trials (graph::kUnreachable marks a
   /// trial that starved someone with no crash present — a liveness bug).
   std::uint32_t max_locality_radius = 0;
+  /// TrialOutput::steps and forced_steps summed over all trials.
+  std::uint64_t steps = 0;
+  std::uint64_t forced_steps = 0;
   Histogram primary_hist{0.0, 1.0, 1};  ///< layout from BatchOptions
   // Wall timing — the only fields excluded from the determinism contract.
   double wall_seconds = 0.0;

@@ -38,7 +38,8 @@ ExperimentHarness::ExperimentHarness(DinersSystem& system,
 sim::RunResult ExperimentHarness::run(std::uint64_t max_steps) {
   std::uint64_t executed = 0;
   while (executed < max_steps) {
-    if (plan_.apply_due(system_, engine_->steps(), rng_,
+    if (plan_.due(engine_->steps()) &&
+        plan_.apply_due(system_, engine_->steps(), rng_,
                         options_.corruption) > 0) {
       // Injected writes invalidate continuous-enabledness ages.
       engine_->reset_ages();

@@ -236,22 +236,48 @@ void DinersSystem::apply_action(ProcessId p, sim::ActionIndex a) {
       }
       break;
     }
-    case kFixDepth:
+    case kFixDepth: {
       // The guard guarantees some descendant violates the bound; taking the
       // max is one of the nondeterministic choices the paper's action
-      // permits (pick q = argmax).
-      depths_[p] = max_descendant_depth(p) + 1;
+      // permits (pick q = argmax). A replay file may hold any int64 depth,
+      // so max + 1 saturates at INT64_MAX; the guard (depth <= max) then
+      // still holds and fixdepth stays enabled.
+      const std::int64_t m = max_descendant_depth(p);
+      depths_[p] = m == std::numeric_limits<std::int64_t>::max() ? m : m + 1;
       break;
+    }
     default:
       throw std::out_of_range("apply_action: bad action index");
   }
 }
 
-bool DinersSystem::affected(ProcessId p, sim::ActionIndex,
+bool DinersSystem::affected(ProcessId p, sim::ActionIndex a,
                             std::vector<ProcessId>& out) const {
-  // The engine re-evaluates p itself; the rest of N[p] is its neighbors.
-  const auto& nbrs = graph_.neighbors(p);
-  out.insert(out.end(), nbrs.begin(), nbrs.end());
+  // The engine re-evaluates p itself. Which neighbours read what an action
+  // wrote is the table in the header; join, leave, enter and fixdepth keep
+  // every priority, so p's ancestors and descendants are the same before
+  // and after the step.
+  const std::uint32_t* offsets = graph_.raw_offsets();
+  const graph::NodeId* nbrs = graph_.raw_neighbors();
+  const graph::EdgeId* eids = graph_.raw_edge_ids();
+  const std::uint32_t begin = offsets[p];
+  const std::uint32_t end = offsets[p + 1];
+  bool descendants = false;
+  switch (a) {
+    case kJoin:
+    case kLeave:
+      descendants = true;
+      break;
+    case kEnter:
+    case kFixDepth:
+      break;
+    default:  // exit
+      out.insert(out.end(), nbrs + begin, nbrs + end);
+      return true;
+  }
+  for (std::uint32_t i = begin; i != end; ++i) {
+    if ((priority_[eids[i]] == p) == descendants) out.push_back(nbrs[i]);
+  }
   return true;
 }
 

@@ -64,11 +64,19 @@ class DinersSystem final : public PhilosopherProgram {
   void execute(ProcessId p, sim::ActionIndex a) override;
   bool alive(ProcessId p) const override { return alive_[p] != 0; }
 
-  /// Exact locality for the incremental engine: every Figure 1 guard of a
-  /// process q reads only q's own variables, its neighbors' state/depth,
-  /// and its incident priority variables, while executing any action of p
-  /// writes only p's state/depth and p's incident priority variables — so
-  /// only the closed neighborhood N[p] can change enabledness.
+  /// Action-precise locality for the incremental engines. Every Figure 1
+  /// guard of q reads q's own variables, its incident priorities, and of
+  /// each neighbour r only "r not thinking" (r a direct ancestor of q),
+  /// "r eating" and depth r (r a direct descendant of q). So executing
+  /// (p, a) can change the guards of p and of:
+  ///   exit           — every neighbour (it rewrites every incident
+  ///                    priority);
+  ///   join, leave    — p's direct descendants (state p moves between T
+  ///                    and H, read only through "all ancestors thinking");
+  ///   enter,fixdepth — p's direct ancestors (state p becomes E, or depth p
+  ///                    moves: read through "a descendant eats" and the
+  ///                    descendants' max depth).
+  /// Appends that set (p excluded) and returns true.
   bool affected(ProcessId p, sim::ActionIndex a,
                 std::vector<ProcessId>& out) const override;
 

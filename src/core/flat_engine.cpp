@@ -438,6 +438,7 @@ std::optional<sim::StepRecord> FlatEngine::step() {
   Slot chosen;
   if (steps_ - enabled_since_[head_] >= fairness_bound_) {
     chosen = head_;
+    ++forced_steps_;
   } else {
     chosen = choose_slot();
   }
@@ -449,16 +450,17 @@ std::optional<sim::StepRecord> FlatEngine::step() {
   sim::StepRecord record{steps_, p, a, system_.action_name(p, a)};
   ++steps_;
 
-  // Restamp the executed slot. Its new stamp steps_ (post-increment) is a
-  // strict maximum, so its (stamp, slot) position is the tail.
-  enabled_since_[chosen] = steps_;
+  // The executed slot leaves the enabled set now. p is always dirty, so if
+  // its guard still holds (a saturated fixdepth) the refresh re-enables it
+  // with stamp steps_ (post-increment), at the (stamp, slot) position a
+  // restamp would give it.
+  clear_bit(chosen);
   list_unlink(chosen);
-  list_append_tail(chosen);
 
-  // Defer N[p]'s guard re-evaluation to the next ensure_fresh().
+  // Defer the re-evaluation of p and of the neighbours that read what
+  // (p, a) wrote to the next ensure_fresh().
   dirty_.push_back(p);
-  const auto nbrs = system_.topology().neighbors(p);
-  dirty_.insert(dirty_.end(), nbrs.begin(), nbrs.end());
+  system_.affected(p, a, dirty_);
 
   for (const auto& observer : observers_) observer(record);
   return record;

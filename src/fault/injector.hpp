@@ -133,6 +133,13 @@ class CrashPlan {
                         util::Xoshiro256& rng,
                         const CorruptionOptions& options = {});
 
+  /// True iff some event has at_step <= now and has not fired yet, i.e.
+  /// apply_due(..., now, ...) would consume one. Inline, so a per-step
+  /// caller pays one comparison when nothing is due.
+  [[nodiscard]] bool due(std::uint64_t now) const noexcept {
+    return next_ < events_.size() && events_[next_].at_step <= now;
+  }
+
   [[nodiscard]] bool exhausted() const noexcept {
     return next_ >= events_.size();
   }

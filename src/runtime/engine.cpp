@@ -159,6 +159,7 @@ std::optional<StepRecord> Engine::step() {
   const std::size_t oldest = oldest_candidate();
   if (steps_ - candidates_[oldest].enabled_since >= fairness_bound_) {
     chosen = oldest;
+    ++forced_steps_;
   } else {
     chosen = daemon_->choose(candidates_);
     if (chosen >= candidates_.size()) {

@@ -2,9 +2,11 @@
 // step, with enforced weak fairness — the paper's computation model.
 //
 // The engine maintains the set of enabled (process, action) pairs
-// incrementally: executing an action at process p re-evaluates only the
-// guards Program::affected() reports as possibly changed (for the paper's
-// algorithm that is the closed neighborhood N[p]), so a step costs
+// incrementally: executing an action at process p re-evaluates only p and
+// the guards Program::affected() reports as possibly changed (for the
+// paper's algorithm, the neighbours that read what the action wrote: all
+// of them after exit, p's direct descendants after join/leave, its direct
+// ancestors after enter/fixdepth), so a step costs at most
 // O(deg(p) · actions) guard evaluations instead of the classic
 // O(n · actions) full scan. Programs that do not override affected() fall
 // back to the full scan and behave exactly as before.
@@ -82,6 +84,12 @@ class EngineBase {
   /// Steps executed since construction.
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
+  /// Of those, the steps the fairness bound chose (the oldest enabled
+  /// action had waited `fairness_bound` steps) rather than the daemon.
+  [[nodiscard]] std::uint64_t forced_steps() const noexcept {
+    return forced_steps_;
+  }
+
   /// Number of currently enabled actions of live processes — O(1) off the
   /// maintained enabled-set. Reflects external mutation only after
   /// invalidate_all()/reset_ages(), like the rest of the engine.
@@ -98,6 +106,7 @@ class EngineBase {
 
  protected:
   std::uint64_t steps_ = 0;
+  std::uint64_t forced_steps_ = 0;
   std::vector<std::function<void(const StepRecord&)>> observers_;
 };
 

@@ -60,7 +60,10 @@ class Program {
   ///
   /// An override appends to `out` the ids of every process *other than p*
   /// whose guards (or liveness) may have been affected by executing (p, a) —
-  /// the engine always re-evaluates p itself — and returns true. The set
+  /// the engine always re-evaluates p itself — and returns true. The engine
+  /// calls it after execute(p, a), so it reads the post-step state, and the
+  /// set may depend on the action: a precise set names only the processes
+  /// whose guards read a variable (p, a) wrote (DinersSystem's does). The set
   /// must be a *sound over-approximation*: listing too many processes only
   /// costs time; omitting one whose guard changed makes the engine's cached
   /// enabled-set stale and the schedule wrong. Duplicates are harmless.

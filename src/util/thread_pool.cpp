@@ -1,7 +1,10 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace diners::util {
 
@@ -16,34 +19,36 @@ void TrialPool::run(std::size_t count,
   if (count == 0) return;
   const auto workers =
       static_cast<unsigned>(std::min<std::size_t>(jobs_, count));
-  auto shard = [&fn, count, workers](unsigned w) {
-    for (std::size_t i = w; i < count; i += workers) fn(i);
+  // A worker claims ascending indices, so its first failure is its
+  // lowest-indexed one.
+  struct Failure {
+    std::size_t item = 0;
+    std::exception_ptr error;
   };
-  if (workers == 1) {
-    shard(0);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (unsigned w = 1; w < workers; ++w) {
-    threads.emplace_back([&errors, &shard, w] {
+  std::vector<Failure> failures(workers);
+  std::atomic<std::size_t> next{0};
+  auto work = [&fn, &failures, &next, count](unsigned w) {
+    for (std::size_t i = next++; i < count; i = next++) {
       try {
-        shard(w);
+        fn(i);
       } catch (...) {
-        errors[w] = std::current_exception();
+        if (!failures[w].error) failures[w] = {i, std::current_exception()};
       }
-    });
+    }
+  };
+  {
+    // jthread joins on destruction, so a failed spawn still joins the
+    // workers already running (they finish every item) before unwinding.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) threads.emplace_back(work, w);
+    work(0);
   }
-  try {
-    shard(0);
-  } catch (...) {
-    errors[0] = std::current_exception();
+  const Failure* first = nullptr;
+  for (const auto& f : failures) {
+    if (f.error && (first == nullptr || f.item < first->item)) first = &f;
   }
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first != nullptr) std::rethrow_exception(first->error);
 }
 
 }  // namespace diners::util

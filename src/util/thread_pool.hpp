@@ -1,13 +1,13 @@
-// TrialPool: a fixed-shard fork-join pool for embarrassingly parallel
-// batches of independent trials.
+// TrialPool: a work-sharing fork-join pool for embarrassingly parallel
+// batches of independent items (trials, rebuild blocks, explorer shards).
 //
-// Sharding is static and work-stealing-free: with W = min(jobs, count)
-// active workers, item i is always processed by worker i % W (the caller
-// participates as worker 0). Assignment is a
-// pure function of the item index, so a batch is reproducible regardless of
-// thread scheduling — determinism comes from giving each item its own seed
-// (util::derive_seed) and writing results into per-item slots, never from
-// timing.
+// Claiming is dynamic: the workers (the caller participates as one) take
+// the next unclaimed item index from one shared atomic counter, so a
+// worker that drew short items keeps claiming while another runs a long
+// one. Which thread runs an item is therefore up to scheduling, and a
+// batch is reproducible anyway — determinism comes from giving each item
+// its own seed (util::derive_seed) and writing results into per-item
+// slots, never from timing or from the thread an item ran on.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +28,11 @@ class TrialPool {
   TrialPool(const TrialPool&) = delete;
   TrialPool& operator=(const TrialPool&) = delete;
 
-  /// Runs fn(i) for every i in [0, count), sharded round-robin across the
-  /// workers, and blocks until all items finish. fn must be safe to call
-  /// concurrently for distinct items. If any invocation throws, the
-  /// lowest-sharded exception is rethrown after the batch completes (the
-  /// other shards still run to completion).
+  /// Runs fn(i) exactly once for every i in [0, count), each item claimed
+  /// by whichever worker is free, and blocks until all items finish. fn
+  /// must be safe to call concurrently for distinct items. If invocations
+  /// throw, every item still runs, and after the batch the exception of
+  /// the lowest-indexed failing item is rethrown.
   void run(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] unsigned jobs() const noexcept { return jobs_; }

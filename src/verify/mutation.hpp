@@ -44,6 +44,10 @@ class MutatedDiners final : public sim::Program {
   bool enabled(sim::ProcessId p, sim::ActionIndex a) const override;
   void execute(sim::ProcessId p, sim::ActionIndex a) override;
   bool alive(sim::ProcessId p) const override { return system_.alive(p); }
+  // The genuine footprint stays sound here: both mutations only drop a
+  // guard (fixdepth) or a conjunct (enter's no-eating-descendant test), so
+  // every mutated guard reads a subset of the genuine guard's variables,
+  // and execute() writes what the genuine action writes.
   bool affected(sim::ProcessId p, sim::ActionIndex a,
                 std::vector<sim::ProcessId>& out) const override {
     return system_.affected(p, a, out);

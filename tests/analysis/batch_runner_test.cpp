@@ -28,6 +28,8 @@ void expect_same_aggregate(const BatchResult& a, const BatchResult& b,
   EXPECT_EQ(a.meals.variance(), b.meals.variance()) << label;
   EXPECT_EQ(a.starved.mean(), b.starved.mean()) << label;
   EXPECT_EQ(a.max_locality_radius, b.max_locality_radius) << label;
+  EXPECT_EQ(a.steps, b.steps) << label;
+  EXPECT_EQ(a.forced_steps, b.forced_steps) << label;
   EXPECT_EQ(a.primary_hist.bins(), b.primary_hist.bins()) << label;
   EXPECT_EQ(a.primary_hist.underflow(), b.primary_hist.underflow()) << label;
   EXPECT_EQ(a.primary_hist.overflow(), b.primary_hist.overflow()) << label;
@@ -115,6 +117,38 @@ TEST(RunBatch, HistogramUsesConfiguredLayout) {
   EXPECT_EQ(result.primary_hist.bin(1), 1u);       // 20
   EXPECT_EQ(result.primary_hist.bin(2), 1u);       // 30
   EXPECT_EQ(result.primary_hist.total(), 4u);
+}
+
+// Steps and forced steps are summed over trials, in the same fold.
+TEST(RunBatch, SumsStepsAndForcedSteps) {
+  BatchOptions options;
+  options.trials = 5;
+  options.jobs = 3;
+  const BatchResult r = run_batch(options, [](std::uint64_t trial,
+                                              std::uint64_t) {
+    TrialOutput out;
+    out.steps = 100 * (trial + 1);
+    out.forced_steps = trial;
+    return out;
+  });
+  EXPECT_EQ(r.steps, 1500u);
+  EXPECT_EQ(r.forced_steps, 10u);
+}
+
+// A scenario trial reports its engine's step counters.
+TEST(ScenarioTrial, ReportsStepsAndForcedSteps) {
+  ScenarioOptions scenario;
+  scenario.n = 12;
+  scenario.daemon = "biased";
+  scenario.fairness_bound = 16;
+  scenario.corrupt = true;
+  scenario.diameter_override = 11;
+  scenario.max_steps = 20000;
+  scenario.window_steps = 3000;
+  const TrialOutput out = run_scenario_trial(scenario, 0, 5);
+  EXPECT_GT(out.steps, scenario.window_steps);
+  EXPECT_GT(out.forced_steps, 0u);
+  EXPECT_LE(out.forced_steps, out.steps);
 }
 
 // The tentpole end-to-end check: full simulation scenarios — stabilization

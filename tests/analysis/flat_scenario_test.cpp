@@ -28,6 +28,8 @@ void expect_same_aggregate(const BatchResult& a, const BatchResult& b,
   EXPECT_EQ(a.meals.mean(), b.meals.mean()) << label;
   EXPECT_EQ(a.starved.mean(), b.starved.mean()) << label;
   EXPECT_EQ(a.max_locality_radius, b.max_locality_radius) << label;
+  EXPECT_EQ(a.steps, b.steps) << label;
+  EXPECT_EQ(a.forced_steps, b.forced_steps) << label;
   ASSERT_EQ(a.primary_hist.bins().size(), b.primary_hist.bins().size())
       << label;
   for (std::size_t i = 0; i < a.primary_hist.bins().size(); ++i) {

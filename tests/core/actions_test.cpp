@@ -2,6 +2,9 @@
 // hand-built configurations.
 #include "core/diners_system.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
@@ -259,6 +262,26 @@ TEST(FixDepth, NegativeCorruptedDepthRecovers) {
   ASSERT_TRUE(s.enabled(1, A::kFixDepth));
   s.execute(1, A::kFixDepth);
   EXPECT_EQ(s.depth(1), 1);
+}
+
+TEST(FixDepth, SaturatesAtInt64Max) {
+  // A replay file may hold any int64 depth. Dead process 0 sits at
+  // INT64_MAX below live process 1 (the ring-4 fixture of
+  // tests/data/fixdepth_int64_max.cex): max + 1 would overflow, so the
+  // command saturates, and the guard depth <= max still holds afterwards.
+  DinersConfig cfg;
+  cfg.diameter_override = 3;
+  DinersSystem s(graph::make_ring(4), cfg);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  s.set_priority(0, 1, 1);
+  s.set_depth(0, kMax);
+  s.crash(0);
+  ASSERT_TRUE(s.enabled(1, A::kFixDepth));
+  s.execute(1, A::kFixDepth);
+  EXPECT_EQ(s.depth(1), kMax);
+  EXPECT_TRUE(s.enabled(1, A::kFixDepth));
+  EXPECT_NE(s.guard_mask(1) & (1u << A::kFixDepth), 0u);
+  EXPECT_TRUE(s.enabled(1, A::kExit));  // depth > D: exit breaks the loop
 }
 
 // --- crash & misc -----------------------------------------------------------

@@ -6,6 +6,8 @@
 // global corruption, crash-restart rejoin, and workload churn, announced
 // through reset_ages()/invalidate_all() per the external-mutation contract.
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,18 +38,23 @@ struct FaultSchedule {
   std::uint64_t corrupt_at = 0;             ///< 0 = never; via reset_ages()
   std::uint64_t toggle_every = 0;           ///< 0 = never; via invalidate_all()
   std::uint64_t restart_at = 0;             ///< 0 = never; revives victim 0
+  /// Writes the start state before the first step (null = legitimate).
+  std::function<void(DinersSystem&)> start;
 };
 
 /// Runs the paper's algorithm for `steps` scheduler steps on the given
 /// engine kind and returns the serialized trace. Everything (graph, daemon
 /// seed, rng streams, fault schedule) is reconstructed identically per call
 /// so both engines see the same inputs.
+/// `forced`, when given, receives the engine's forced_steps().
 std::vector<std::string> run_diners(const graph::Graph& g,
                                     const std::string& daemon,
                                     const FaultSchedule& faults,
                                     std::uint64_t steps, sim::EngineKind kind,
-                                    unsigned rebuild_jobs = 1) {
+                                    unsigned rebuild_jobs = 1,
+                                    std::uint64_t* forced = nullptr) {
   DinersSystem system(g);
+  if (faults.start) faults.start(system);
   std::unique_ptr<sim::EngineBase> engine;
   if (kind == sim::EngineKind::kFlat) {
     engine = std::make_unique<FlatEngine>(system, daemon, /*daemon_seed=*/7,
@@ -90,20 +97,29 @@ std::vector<std::string> run_diners(const graph::Graph& g,
     }
     if (!engine->step()) break;
   }
+  if (forced != nullptr) *forced = engine->forced_steps();
   return trace;
 }
 
+/// Also asserts equal forced-step counts; `forced`, when given, receives
+/// the flat engine's.
 void expect_identical_traces(const graph::Graph& g, const std::string& daemon,
                              const FaultSchedule& faults,
-                             std::uint64_t steps) {
-  const auto object =
-      run_diners(g, daemon, faults, steps, sim::EngineKind::kObject);
-  const auto flat = run_diners(g, daemon, faults, steps, sim::EngineKind::kFlat);
+                             std::uint64_t steps,
+                             std::uint64_t* forced = nullptr) {
+  std::uint64_t object_forced = 0;
+  std::uint64_t flat_forced = 0;
+  const auto object = run_diners(g, daemon, faults, steps,
+                                 sim::EngineKind::kObject, 1, &object_forced);
+  const auto flat = run_diners(g, daemon, faults, steps,
+                               sim::EngineKind::kFlat, 1, &flat_forced);
   ASSERT_EQ(object.size(), flat.size()) << "daemon: " << daemon;
   for (std::size_t i = 0; i < flat.size(); ++i) {
     ASSERT_EQ(object[i], flat[i])
         << "daemon: " << daemon << ", first divergence at trace index " << i;
   }
+  EXPECT_EQ(object_forced, flat_forced) << "daemon: " << daemon;
+  if (forced != nullptr) *forced = flat_forced;
 }
 
 const char* const kDaemons[] = {"round-robin", "random", "adversarial-age",
@@ -208,6 +224,52 @@ TEST(FlatEngineDifferential, EverythingAtOnce) {
   for (const auto* daemon : kDaemons) {
     expect_identical_traces(g, daemon, faults, 4000);
   }
+}
+
+// --- an executed action that stays enabled ---------------------------------
+
+// Dead process 0 holds depth INT64_MAX below its live neighbours 1 and 7, so
+// their fixdepth saturates at INT64_MAX and its guard still holds after the
+// step. The flat engine drops the executed slot from its enabled set and
+// must re-enable it with the step's stamp, where sim::Engine's restamp
+// leaves it. 1 and 7 start without appetite, so fixdepth is their only
+// enabled action and every daemon runs it.
+TEST(FlatEngineDifferential, SaturatedFixdepthStaysEnabled) {
+  const auto g = graph::make_ring(8);
+  FaultSchedule faults;
+  faults.start = [](DinersSystem& s) {
+    s.set_priority(0, 1, 1);
+    s.set_priority(0, 7, 7);
+    s.set_depth(0, std::numeric_limits<std::int64_t>::max());
+    s.crash(0);
+    s.set_needs(1, false);
+    s.set_needs(7, false);
+  };
+  for (const auto* daemon : kDaemons) {
+    expect_identical_traces(g, daemon, faults, 3000);
+
+    // The schedule does reach the case: a fixdepth whose guard survives.
+    DinersSystem system(g);
+    faults.start(system);
+    FlatEngine engine(system, daemon, /*daemon_seed=*/7, /*fairness_bound=*/64);
+    int survivors = 0;
+    engine.add_observer([&](const sim::StepRecord& r) {
+      if (r.action == DinersSystem::kFixDepth &&
+          ((system.guard_mask(r.process) >> DinersSystem::kFixDepth) & 1u)) {
+        ++survivors;
+      }
+    });
+    engine.run(3000);
+    EXPECT_GT(survivors, 0) << "daemon: " << daemon;
+  }
+}
+
+// The biased daemon always picks the lowest enabled slot, so the fairness
+// bound runs everything else: both engines must force the same steps.
+TEST(FlatEngineDifferential, BiasedDaemonForcesTheSameSteps) {
+  std::uint64_t forced = 0;
+  expect_identical_traces(graph::make_ring(24), "biased", {}, 3000, &forced);
+  EXPECT_GT(forced, 0u);
 }
 
 // --- sharded rebuild is trace-invariant ------------------------------------

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace diners::util {
@@ -64,9 +65,8 @@ TEST(TrialPool, SlotOutputsDeterministic) {
   }
 }
 
-// A throwing item does not hang the pool, the exception is rethrown to the
-// caller after the batch joins, and only the throwing shard abandons its
-// remaining items — the other shards complete.
+// A throwing item does not hang the pool, every other item still runs,
+// and the exception is rethrown to the caller after the batch joins.
 TEST(TrialPool, ExceptionPropagatesAfterBatch) {
   TrialPool pool(4);
   std::atomic<int> calls{0};
@@ -79,14 +79,33 @@ TEST(TrialPool, ExceptionPropagatesAfterBatch) {
   } catch (const std::runtime_error& err) {
     EXPECT_STREQ(err.what(), "trial 5 failed");
   }
-  // Item 5 sits in shard 1 (items 1, 5, 9, 13): after the throw that shard
-  // skips 9 and 13, while the other three shards run all 12 of theirs.
-  EXPECT_EQ(calls.load(), 14);
+  EXPECT_EQ(calls.load(), 16);
 
   // The pool is reusable after a failed batch.
   std::atomic<int> second{0};
   pool.run(8, [&](std::size_t) { ++second; });
   EXPECT_EQ(second.load(), 8);
+}
+
+// With several failing items the lowest-indexed one wins, whichever
+// worker ran it and whenever it threw.
+TEST(TrialPool, LowestIndexedExceptionWins) {
+  for (unsigned jobs : {1u, 2u, 4u}) {
+    TrialPool pool(jobs);
+    std::atomic<int> calls{0};
+    try {
+      pool.run(16, [&](std::size_t i) {
+        ++calls;
+        if (i == 3 || i == 11) {
+          throw std::runtime_error("trial " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& err) {
+      EXPECT_STREQ(err.what(), "trial 3") << "jobs=" << jobs;
+    }
+    EXPECT_EQ(calls.load(), 16) << "jobs=" << jobs;
+  }
 }
 
 TEST(TrialPool, CallerThreadParticipates) {

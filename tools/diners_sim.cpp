@@ -293,6 +293,13 @@ int run_batch_mode(const diners::util::Flags& flags) {
       w.field("max_locality_radius",
               static_cast<std::uint64_t>(result.max_locality_radius));
     }
+    // Share of steps the fairness bound forced; no steps, no share.
+    if (result.steps > 0) {
+      w.field("forced_share", static_cast<double>(result.forced_steps) /
+                                  static_cast<double>(result.steps));
+    } else {
+      w.key("forced_share").null();
+    }
     w.field("trials", result.trials)
         .field("converged", result.converged)
         .field("jobs", static_cast<std::uint64_t>(batch.jobs))
