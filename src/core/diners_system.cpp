@@ -254,9 +254,9 @@ void DinersSystem::apply_action(ProcessId p, sim::ActionIndex a) {
 bool DinersSystem::affected(ProcessId p, sim::ActionIndex a,
                             std::vector<ProcessId>& out) const {
   // The engine re-evaluates p itself. Which neighbours read what an action
-  // wrote is the table in the header; join, leave, enter and fixdepth keep
-  // every priority, so p's ancestors and descendants are the same before
-  // and after the step.
+  // wrote is the table in the header; join, leave and fixdepth keep every
+  // priority, so p's ancestors and descendants are the same before and
+  // after the step.
   const std::uint32_t* offsets = graph_.raw_offsets();
   const graph::NodeId* nbrs = graph_.raw_neighbors();
   const graph::EdgeId* eids = graph_.raw_edge_ids();
@@ -269,6 +269,7 @@ bool DinersSystem::affected(ProcessId p, sim::ActionIndex a,
       descendants = true;
       break;
     case kEnter:
+      return true;
     case kFixDepth:
       break;
     default:  // exit

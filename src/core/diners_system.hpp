@@ -69,13 +69,17 @@ class DinersSystem final : public PhilosopherProgram {
   /// each neighbour r only "r not thinking" (r a direct ancestor of q),
   /// "r eating" and depth r (r a direct descendant of q). So executing
   /// (p, a) can change the guards of p and of:
-  ///   exit           — every neighbour (it rewrites every incident
-  ///                    priority);
-  ///   join, leave    — p's direct descendants (state p moves between T
-  ///                    and H, read only through "all ancestors thinking");
-  ///   enter,fixdepth — p's direct ancestors (state p becomes E, or depth p
-  ///                    moves: read through "a descendant eats" and the
-  ///                    descendants' max depth).
+  ///   exit        — every neighbour (it rewrites every incident
+  ///                 priority);
+  ///   join, leave — p's direct descendants (state p moves between T and
+  ///                 H, read only through "all ancestors thinking");
+  ///   fixdepth    — p's direct ancestors (depth p moves, read through the
+  ///                 descendants' max depth);
+  ///   enter       — none. Enter needs every direct ancestor thinking, so
+  ///                 an ancestor's only reader of "p eats" (its own enter
+  ///                 guard, which needs it hungry) is false before and
+  ///                 after; p's descendants read "p not thinking", true
+  ///                 both as H and as E.
   /// Appends that set (p excluded) and returns true.
   bool affected(ProcessId p, sim::ActionIndex a,
                 std::vector<ProcessId>& out) const override;

@@ -21,10 +21,10 @@
 //    selects by rank, so the other daemons skip the O(log W) update on
 //    every enabled-bit flip — the dominant steady-state cost;
 //  * a step dirties p and the neighbours DinersSystem::affected() names
-//    for the executed action (its readers, not all of N(p)), and the
-//    executed slot leaves the enabled set at once: p's refresh re-enables
-//    it with the step's stamp if its guard still holds, which places it
-//    exactly where sim::Engine's restamp does;
+//    for the executed action (its readers, not all of N(p); none after
+//    enter), and the executed slot leaves the enabled set at once: p's
+//    refresh re-enables it with the step's stamp if its guard still
+//    holds, which places it exactly where sim::Engine's restamp does;
 //  * guards are evaluated five-at-a-time by DinersSystem::guard_mask()
 //    (single branch-light pass over the topology's own CSR row, no
 //    virtual dispatch), the only guard evaluator of this engine: the

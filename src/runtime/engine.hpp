@@ -6,7 +6,7 @@
 // the guards Program::affected() reports as possibly changed (for the
 // paper's algorithm, the neighbours that read what the action wrote: all
 // of them after exit, p's direct descendants after join/leave, its direct
-// ancestors after enter/fixdepth), so a step costs at most
+// ancestors after fixdepth, none after enter), so a step costs at most
 // O(deg(p) · actions) guard evaluations instead of the classic
 // O(n · actions) full scan. Programs that do not override affected() fall
 // back to the full scan and behave exactly as before.

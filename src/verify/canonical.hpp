@@ -40,6 +40,11 @@ struct Key {
 [[nodiscard]] constexpr Key key_andnot(Key a, Key mask) noexcept {
   return {a.lo & ~mask.lo, a.hi & ~mask.hi};
 }
+/// (hi, lo)-lexicographic order: the order of the 128-bit integer, which
+/// orbit minima (SymmetryGroup::canonical) and box seeds are taken in.
+[[nodiscard]] constexpr bool key_less(const Key& a, const Key& b) noexcept {
+  return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+}
 
 // --- raw bit-field access ---------------------------------------------------
 // The explorer's key-patch successor generator reads and rewrites individual

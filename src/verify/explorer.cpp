@@ -72,12 +72,14 @@ Explorer::Explorer(core::DinersSystem& scratch, const StateCodec& codec,
     throw std::invalid_argument("Explorer: jobs must be positive");
   }
   options_.max_states = std::min(options_.max_states, kMaxAdmittable);
+  try {
+    box_size_ = codec_.domain_size();
+  } catch (const std::overflow_error&) {
+    box_size_ = 0;
+  }
   if (options_.expected_states == 0) {
-    try {
-      options_.expected_states = codec_.domain_size();
-    } catch (const std::overflow_error&) {
-      options_.expected_states = options_.max_states;
-    }
+    options_.expected_states =
+        box_size_ != 0 ? box_size_ : options_.max_states;
   }
   options_.expected_states =
       std::min<std::uint64_t>(options_.expected_states, options_.max_states);
@@ -253,10 +255,21 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
 
   // Key patches leave untouched fields verbatim, while the legacy encode
   // round-trip would clamp an out-of-box depth field — so demand canonical
-  // seeds and keep the two paths byte-identical.
+  // seeds and keep the two paths byte-identical. The same pass decides
+  // whether the seeds are exactly the depth box: box_size_ keys, strictly
+  // ascending, each inside the box (state fields < 3, depth fields in
+  // range, no bit at or above codec.bits()). By pigeonhole such a span is
+  // the whole box in ascending order, which seed admission exploits below.
   const std::uint64_t depth_values = codec_.num_depth_values();
-  if (depth_values != std::uint64_t{1} << depth_bits_) {
-    for (const Key& s : seeds) {
+  const std::uint32_t width = codec_.bits();
+  const Key beyond{width >= 64 ? 0 : ~std::uint64_t{0} << width,
+                   width <= 64    ? ~std::uint64_t{0}
+                   : width == 128 ? 0
+                                  : ~std::uint64_t{0} << (width - 64)};
+  bool whole_box = box_size_ != 0 && seeds.size() == box_size_;
+  if (whole_box || depth_values != std::uint64_t{1} << depth_bits_) {
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      const Key& s = seeds[i];
       for (sim::ProcessId p = 0; p < n; ++p) {
         if (key_get_bits(s, procs_[p].depth_pos, depth_bits_) >=
             depth_values) {
@@ -264,7 +277,10 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
               "Explorer::explore: seed has an out-of-box depth field; seeds "
               "must come from StateCodec::encode or domain_key");
         }
+        whole_box = whole_box && key_get_bits(s, procs_[p].state_pos, 2) < 3;
       }
+      whole_box = whole_box && key_and(s, beyond) == Key{} &&
+                  (i == 0 || key_less(seeds[i - 1], s));
     }
   }
 
@@ -601,39 +617,84 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
   };
 
   // ---- seed admission (deduplicated, order preserved) --------------------
+  // Seeds go in chunks of kSeedChunk; the reduction counts cover every seed
+  // of each chunk reached, so a cap that fires inside the seeds stops after
+  // the chunk it fires in.
+  //
+  // The whole box, ascending, skips canonicalize + probe + merge: every
+  // automorphism maps the box onto itself, so each orbit's first seed is its
+  // minimum, the one key of the orbit that is its own canonical form.
+  // Admitting exactly those lex-leaders, in seed order with the identity
+  // witness, is what the general path admits; the other seeds only count
+  // as canonical hits.
   std::size_t seed_done = 0;
   constexpr std::size_t kSeedChunk = std::size_t{1} << 21;
+  std::vector<std::vector<std::uint32_t>> leaders(whole_box ? jobs : 0);
   while (seed_done < seeds.size() && g.complete) {
     const std::size_t count = std::min(kSeedChunk, seeds.size() - seed_done);
-    cands.resize(count);
     const std::size_t block = (count + jobs - 1) / jobs;
-    pool.run(jobs, [&](std::size_t w) {
-      const std::size_t lo = std::min(count, w * block);
-      const std::size_t hi = std::min(count, (w + 1) * block);
-      for (std::size_t j = lo; j < hi; ++j) {
-        cands[j] = {seeds[seed_done + j], kNoIndex, kSeedMove};
-        if (sym_on) {
-          // A seed's witness maps the original seed key to its canonical
-          // representative (counterexample stems start lifting there).
-          SymmetryGroup::ElemId wit = SymmetryGroup::kIdentity;
-          const Key ck = grp->canonical(cands[j].key, &wit);
-          wstats[w].raw_candidates += 1;
-          if (wit != SymmetryGroup::kIdentity) {
-            cands[j].key = ck;
-            cands[j].witness = wit;
-            wstats[w].canonical_hits += 1;
+    if (whole_box) {
+      pool.run(jobs, [&](std::size_t w) {
+        const std::size_t lo = std::min(count, w * block);
+        const std::size_t hi = std::min(count, (w + 1) * block);
+        auto& mine = leaders[w];
+        mine.clear();
+        for (std::size_t j = lo; j < hi; ++j) {
+          if (!sym_on || grp->is_canonical(seeds[seed_done + j])) {
+            mine.push_back(static_cast<std::uint32_t>(j));
           }
         }
-      }
-      if (jobs > 1) {
-        for (auto& ob : outbox[w]) ob.clear();
-        for (std::size_t j = lo; j < hi; ++j) {
-          outbox[w][shard_of(cands[j].key)].push_back(
-              static_cast<std::uint32_t>(j));
+        if (sym_on) {
+          wstats[w].raw_candidates += hi - lo;
+          wstats[w].canonical_hits += hi - lo - mine.size();
+        }
+      });
+      // Worker blocks ascend, so this is seed order.
+      const auto first = static_cast<std::uint32_t>(g.keys.size());
+      for (const auto& mine : leaders) {
+        for (const std::uint32_t j : mine) {
+          if (g.keys.size() == cap) {
+            g.complete = false;
+            break;
+          }
+          admit({seeds[seed_done + j], kNoIndex, kSeedMove});
         }
       }
-    });
-    resolve(count);
+      pool.run(jobs, [&](std::size_t t) {
+        for (auto i = first; i < g.keys.size(); ++i) {
+          if (shard_of(g.keys[i]) == t) shards[t].insert(g.keys[i], i);
+        }
+      });
+    } else {
+      cands.resize(count);
+      pool.run(jobs, [&](std::size_t w) {
+        const std::size_t lo = std::min(count, w * block);
+        const std::size_t hi = std::min(count, (w + 1) * block);
+        for (std::size_t j = lo; j < hi; ++j) {
+          cands[j] = {seeds[seed_done + j], kNoIndex, kSeedMove};
+          if (sym_on) {
+            // A seed's witness maps the original seed key to its canonical
+            // representative (counterexample stems start lifting there).
+            SymmetryGroup::ElemId wit = SymmetryGroup::kIdentity;
+            const Key ck = grp->canonical(cands[j].key, &wit);
+            wstats[w].raw_candidates += 1;
+            if (wit != SymmetryGroup::kIdentity) {
+              cands[j].key = ck;
+              cands[j].witness = wit;
+              wstats[w].canonical_hits += 1;
+            }
+          }
+        }
+        if (jobs > 1) {
+          for (auto& ob : outbox[w]) ob.clear();
+          for (std::size_t j = lo; j < hi; ++j) {
+            outbox[w][shard_of(cands[j].key)].push_back(
+                static_cast<std::uint32_t>(j));
+          }
+        }
+      });
+      resolve(count);
+    }
     seed_done += count;
   }
   g.num_seeds = g.num_states();

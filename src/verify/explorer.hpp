@@ -45,7 +45,12 @@
 // is the quotient under the stabilizer of the environment inputs inside the
 // topology's automorphism group: every candidate key is canonicalized to
 // its orbit minimum before dedup, and each arc records the group element w
-// ("witness") with rep(target) == A_w(raw successor of rep(source)).
+// ("witness") with rep(target) == A_w(raw successor of rep(source)). Box
+// seeds are the exception: when the seed span is the whole depth box in
+// ascending order, each orbit's first seed is its minimum, so explore()
+// admits the seeds SymmetryGroup::is_canonical accepts (the lex-leaders)
+// with the identity witness, and only counts the rest as canonical hits —
+// the same graph and counts as canonicalizing and probing every seed.
 // Counterexample lifting and the group-product fairness analysis in
 // properties.cpp consume the witnesses; the quotient answers reachability
 // questions about the orbit closure of the seed set (for symmetric
@@ -211,7 +216,10 @@ class Explorer {
   /// BFS from `seeds` (deduplicated, order preserved) to the full
   /// reachable set. Seeds must be codec-canonical (as produced by
   /// StateCodec::encode / domain_key); a key with an out-of-box depth
-  /// field raises std::invalid_argument.
+  /// field raises std::invalid_argument. Seeds that are exactly the depth
+  /// box in ascending order (StateCodec::domain_keys) are admitted by a
+  /// lex-leader scan instead of one canonicalization and probe per seed;
+  /// the graph and its ReductionStats are the same either way.
   [[nodiscard]] StateGraph explore(std::span<const Key> seeds);
 
  private:
@@ -253,6 +261,8 @@ class Explorer {
   core::DinersSystem& scratch_;
   const StateCodec& codec_;
   Options options_;
+  /// codec_.domain_size(), or 0 when the box exceeds 2^63 keys.
+  std::uint64_t box_size_;
 
   // Key-patch generator tables (built at construction; needs/alive are
   // refreshed from scratch_ at each explore() since crashes and workload

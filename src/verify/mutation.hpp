@@ -47,7 +47,9 @@ class MutatedDiners final : public sim::Program {
   // The genuine footprint stays sound here: both mutations only drop a
   // guard (fixdepth) or a conjunct (enter's no-eating-descendant test), so
   // every mutated guard reads a subset of the genuine guard's variables,
-  // and execute() writes what the genuine action writes.
+  // and execute() writes what the genuine action writes. Enter's empty
+  // footprint holds under kGreedyEnter too: its enter still needs every
+  // direct ancestor thinking, and no longer reads "a descendant eats".
   bool affected(sim::ProcessId p, sim::ActionIndex a,
                 std::vector<sim::ProcessId>& out) const override {
     return system_.affected(p, a, out);

@@ -20,10 +20,6 @@ graph::Permutation compose_perm(const graph::Permutation& a,
   return out;
 }
 
-bool key_less(const Key& a, const Key& b) noexcept {
-  return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-}
-
 Key key_xor(Key a, Key b) noexcept { return {a.lo ^ b.lo, a.hi ^ b.hi}; }
 
 /// Byte b (0 = least significant) of the 128-bit key.
@@ -217,29 +213,45 @@ std::uint64_t SymmetryGroup::permute_mask(ElemId e,
   return out;
 }
 
-Key SymmetryGroup::canonical(const Key& k, ElemId* witness) const {
+template <class Visit>
+void SymmetryGroup::for_each_image(const Key& k, Visit visit) const {
   // The key's image rows, one per byte; element e's image is the OR of
   // rows[b][e], then its flips.
   std::array<const Key*, 16> rows{};
   for (std::uint32_t b = 0; b < key_bytes_; ++b) {
     rows[b] = image_row(b, key_byte(k, b));
   }
-  Key best = k;
-  ElemId best_e = kIdentity;
   for (std::size_t e = 1; e < perms_.size(); ++e) {
     Key img;
     for (std::uint32_t b = 0; b < key_bytes_; ++b) {
       img = key_or(img, rows[b][e]);
     }
-    img = key_xor(img, flips_[e]);
+    if (!visit(static_cast<ElemId>(e), key_xor(img, flips_[e]))) return;
+  }
+}
+
+Key SymmetryGroup::canonical(const Key& k, ElemId* witness) const {
+  Key best = k;
+  ElemId best_e = kIdentity;
+  for_each_image(k, [&](ElemId e, const Key& img) {
     // Strictly smaller only: ties keep the smallest witness.
     if (key_less(img, best)) {
       best = img;
-      best_e = static_cast<ElemId>(e);
+      best_e = e;
     }
-  }
+    return true;
+  });
   if (witness != nullptr) *witness = best_e;
   return best;
+}
+
+bool SymmetryGroup::is_canonical(const Key& k) const {
+  bool leader = true;
+  for_each_image(k, [&](ElemId, const Key& img) {
+    leader = !key_less(img, k);
+    return leader;
+  });
+  return leader;
 }
 
 std::shared_ptr<const SymmetryGroup> SymmetryGroup::stabilizer(

@@ -78,6 +78,10 @@ class SymmetryGroup {
   /// apply(w, k) == canonical(k).
   [[nodiscard]] Key canonical(const Key& k, ElemId* witness = nullptr) const;
 
+  /// Lex-leader test: canonical(k) == k, decided over the same images and
+  /// order but returning at the first strictly smaller one.
+  [[nodiscard]] bool is_canonical(const Key& k) const;
+
   /// The subgroup of elements preserving the per-node label pointwise
   /// (label[pi(p)] == label[p] for all p). Callers pack the environment
   /// inputs — needs and alive — into the label; the result is the largest
@@ -105,6 +109,10 @@ class SymmetryGroup {
                                      std::uint64_t v) const noexcept {
     return images_.data() + (b * 256 + v) * perms_.size();
   }
+  /// Calls visit(e, apply(e, k)) for e = 1, 2, ... in id order until it
+  /// returns false (the identity's image, k itself, is skipped).
+  template <class Visit>
+  void for_each_image(const Key& k, Visit visit) const;
 
   const StateCodec* codec_;
   std::vector<graph::Permutation> perms_;

@@ -1,11 +1,12 @@
 // Property test for the action-precise footprint DinersSystem::affected():
 // over seeded corrupted states (some processes dead), executing any enabled
 // action (p, a) of a live p on a copy leaves the guards of every process
-// outside {p} ∪ affected(p, a) unchanged. Both incremental engines refresh
-// only that set after a step, so a process missing from it would keep a
-// stale enabled bit and the schedule would go wrong. The same check runs
-// through verify::MutatedDiners (whose affected() forwards the genuine
-// footprint) and under the two ablated configurations.
+// outside {p} ∪ affected(p, a) unchanged, and enter's footprint is empty.
+// Both incremental engines refresh only that set after a step, so a process
+// missing from it would keep a stale enabled bit and the schedule would go
+// wrong. The same check runs through verify::MutatedDiners (whose
+// affected() forwards the genuine footprint) and under the two ablated
+// configurations.
 #include <array>
 #include <cstdint>
 #include <string>
@@ -61,6 +62,12 @@ void check_state(DinersSystem& base, GuardMutation mutation,
       stepped.execute(p, a);
       std::vector<ProcessId> footprint;
       ASSERT_TRUE(stepped.affected(p, a, footprint));
+      // Enter needs thinking ancestors, so none of its readers can change.
+      if (a == DinersSystem::kEnter) {
+        ASSERT_TRUE(footprint.empty())
+            << "enter at " << p << " names " << footprint.size()
+            << " neighbours";
+      }
       std::vector<bool> covered(n, false);
       covered[p] = true;
       for (const ProcessId q : footprint) covered[q] = true;

@@ -14,15 +14,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/figure2.hpp"
 #include "core/serialize.hpp"
+#include "graph/automorphisms.hpp"
 #include "graph/generators.hpp"
 
 namespace diners::verify {
@@ -45,11 +48,21 @@ void expect_graphs_identical(const StateGraph& a, const StateGraph& b) {
   }
   ASSERT_EQ(a.enabled, b.enabled);
   ASSERT_EQ(a.succ_begin, b.succ_begin);
+  ASSERT_EQ(a.parent_witness, b.parent_witness);
   ASSERT_EQ(a.succ.size(), b.succ.size());
   for (std::size_t i = 0; i < a.succ.size(); ++i) {
     ASSERT_EQ(a.succ[i].to, b.succ[i].to) << "arc " << i;
     ASSERT_EQ(a.succ[i].move, b.succ[i].move) << "arc " << i;
+    ASSERT_EQ(a.succ[i].witness, b.succ[i].witness) << "arc " << i;
   }
+}
+
+void expect_stats(const StateGraph::ReductionStats& got,
+                  const StateGraph::ReductionStats& want) {
+  EXPECT_EQ(got.raw_candidates, want.raw_candidates);
+  EXPECT_EQ(got.canonical_hits, want.canonical_hits);
+  EXPECT_EQ(got.por_ample_states, want.por_ample_states);
+  EXPECT_EQ(got.por_arcs_pruned, want.por_arcs_pruned);
 }
 
 /// Explores `seeds` at jobs 1, 4 and 8 and requires all three graphs to be
@@ -211,21 +224,27 @@ TEST(ExplorerDeterminism, BoxSeededGraphsMatchGoldenHashes) {
     bool reduced;  ///< reduce_sym + reduce_por + compact_visited
     std::uint64_t healthy;
     std::uint64_t demonic;
+    StateGraph::ReductionStats healthy_stats;
+    StateGraph::ReductionStats demonic_stats;
   } cases[] = {
       {"K3", graph::make_complete(3), false, 0x5ee4a8d633682542,
-       0x5b481247ba939b72},
+       0x5b481247ba939b72, {}, {}},
       {"star4", graph::make_star(4), false, 0x3609f8d4570ee531,
-       0x3ec6ff29b1047ae1},
+       0x3ec6ff29b1047ae1, {}, {}},
       {"line4", graph::make_path(4), false, 0x045a822f25e4528f,
-       0x0afb2612f2541fb2},
+       0x0afb2612f2541fb2, {}, {}},
       {"ring4", graph::make_ring(4), true, 0xcbb5d5a7e7b0cada,
-       0x92695cdc33fb9d2b},
+       0x92695cdc33fb9d2b,
+       {188707, 119910, 0, 0}, {268713, 50025, 0, 0}},
       {"K3", graph::make_complete(3), true, 0xa166e99477359b09,
-       0xee0c8f9b3306e7af},
+       0xee0c8f9b3306e7af,
+       {10273, 6273, 0, 0}, {12615, 1620, 0, 0}},
       {"star4", graph::make_star(4), true, 0xcee272c191433f10,
-       0xa83fa4d0f698e666},
+       0xa83fa4d0f698e666,
+       {111486, 61440, 0, 0}, {98805, 52992, 0, 0}},
       {"line4", graph::make_path(4), true, 0x425c921bda2ee673,
-       0x1f424fd70aef753e},
+       0x1f424fd70aef753e,
+       {204606, 40824, 0, 0}, {}},
   };
   for (const auto& c : cases) {
     core::DinersConfig config;
@@ -248,6 +267,7 @@ TEST(ExplorerDeterminism, BoxSeededGraphsMatchGoldenHashes) {
       const StateGraph healthy = Explorer(scratch, codec, opts).explore(seeds);
       ASSERT_TRUE(healthy.complete);
       EXPECT_EQ(hex(graph_hash(healthy)), hex(c.healthy));
+      expect_stats(healthy.reduction, c.healthy_stats);
 
       DinersSystem crashed = core::clone(prototype);
       crashed.crash(0);
@@ -258,7 +278,155 @@ TEST(ExplorerDeterminism, BoxSeededGraphsMatchGoldenHashes) {
           Explorer(crashed, codec, copts).explore(healthy.keys);
       ASSERT_TRUE(demonic.complete);
       EXPECT_EQ(hex(graph_hash(demonic)), hex(c.demonic));
+      expect_stats(demonic.reduction, c.demonic_stats);
     }
+  }
+}
+
+TEST(ExplorerDeterminism, BoxAdmissionMatchesGeneralPath) {
+  // explore() admits a whole depth box (every box key once, ascending) by a
+  // lex-leader scan; any other seed list goes through canonicalize, visited
+  // probe and merge seed by seed. A trailing duplicate of the last key, or
+  // two swapped keys, sends the same box down that general path, which must
+  // admit the same graph. The duplicate adds one raw candidate, and one
+  // canonical hit unless it is a leader.
+  const struct {
+    const char* name;
+    graph::Graph topo;
+    std::int64_t threshold;
+    std::int64_t depth_max;
+  } cases[] = {
+      {"ring4", graph::make_ring(4), 1, 2},
+      {"K3", graph::make_complete(3), 1, 2},
+      {"star4", graph::make_star(4), 1, 2},
+      {"line4", graph::make_path(4), 1, 2},
+      {"K4 sound", graph::make_complete(4), 3, 4},
+  };
+  const auto sorted_keys = [](std::vector<Key> keys) {
+    std::sort(keys.begin(), keys.end(), key_less);
+    return keys;
+  };
+  for (const auto& c : cases) {
+    core::DinersConfig config;
+    config.diameter_override = c.threshold;
+    DinersSystem prototype(graph::Graph(c.topo), config);
+    for (P p = 0; p < prototype.topology().num_nodes(); ++p) {
+      prototype.set_needs(p, true);
+    }
+    const StateCodec codec(prototype.topology(), 0, c.depth_max);
+    const std::vector<Key> box = codec.domain_keys();
+    std::vector<Key> dup = box;
+    dup.push_back(box.back());
+    for (const unsigned jobs : {1u, 3u}) {
+      SCOPED_TRACE(std::string(c.name) + " jobs=" + std::to_string(jobs));
+      const auto explore = [&](const std::vector<Key>& seeds,
+                               std::uint32_t max_states) {
+        Explorer::Options opts;
+        opts.jobs = jobs;
+        opts.reduce_sym = true;
+        opts.reduce_por = true;
+        opts.compact_visited = true;
+        opts.max_states = max_states;
+        DinersSystem scratch = core::clone(prototype);
+        return Explorer(scratch, codec, opts).explore(seeds);
+      };
+      const std::uint32_t uncapped = Explorer::Options{}.max_states;
+      const StateGraph g = explore(box, uncapped);
+      ASSERT_TRUE(g.complete);
+      ASSERT_NE(g.sym, nullptr);
+      const std::uint64_t dup_hit = g.sym->is_canonical(box.back()) ? 0 : 1;
+      {
+        const StateGraph general = explore(dup, uncapped);
+        expect_graphs_identical(g, general);
+        ASSERT_NE(general.sym, nullptr);
+        EXPECT_EQ(general.sym->size(), g.sym->size());
+        EXPECT_EQ(general.reduction.raw_candidates,
+                  g.reduction.raw_candidates + 1);
+        EXPECT_EQ(general.reduction.canonical_hits,
+                  g.reduction.canonical_hits + dup_hit);
+        EXPECT_EQ(general.reduction.por_ample_states,
+                  g.reduction.por_ample_states);
+        EXPECT_EQ(general.reduction.por_arcs_pruned,
+                  g.reduction.por_arcs_pruned);
+      }
+      {
+        // Truncated among the seeds. The general path stops after the seed
+        // chunk it truncates in, so it reaches the trailing duplicate only
+        // when that chunk is the last one.
+        const std::uint32_t cap = g.num_seeds / 2;
+        const StateGraph cut = explore(box, cap);
+        const StateGraph general = explore(dup, cap);
+        ASSERT_FALSE(cut.complete);
+        EXPECT_EQ(cut.num_states(), cap);
+        EXPECT_EQ(cut.num_seeds, cap);
+        expect_graphs_identical(cut, general);
+        const std::uint64_t reached =
+            general.reduction.raw_candidates - cut.reduction.raw_candidates;
+        EXPECT_LE(reached, 1u);
+        EXPECT_GE(cut.reduction.raw_candidates, cap);
+        EXPECT_EQ(general.reduction.canonical_hits,
+                  cut.reduction.canonical_hits + reached * dup_hit);
+      }
+      {
+        std::vector<Key> swapped = box;
+        std::swap(swapped[0], swapped[1]);
+        const StateGraph general = explore(swapped, uncapped);
+        ASSERT_TRUE(general.complete);
+        EXPECT_EQ(sorted_keys(general.keys), sorted_keys(g.keys));
+      }
+    }
+  }
+}
+
+TEST(ExplorerDeterminism, BoxSizedSpansOutsideTheBoxTakeTheGeneralPath) {
+  // The lex-leader scan is sound only on the whole box. Replace a leader X
+  // of a box-sized ascending span and no remaining seed of X's orbit is its
+  // own canonical form: only canonicalizing them brings X in. Each span
+  // below breaks one clause of the box test, so X must still be admitted
+  // among the seeds (the BFS may reach it later either way).
+  const auto admits = [](const graph::Graph& topo, std::vector<Key> seeds,
+                         const Key& x) {
+    DinersSystem scratch{graph::Graph(topo)};
+    for (P p = 0; p < scratch.topology().num_nodes(); ++p) {
+      scratch.set_needs(p, true);
+    }
+    const StateCodec codec(scratch.topology(), 0, 2);
+    Explorer::Options opts;
+    opts.reduce_sym = true;
+    const StateGraph g = Explorer(scratch, codec, opts).explore(seeds);
+    return std::find(g.keys.begin(), g.keys.begin() + g.num_seeds, x) !=
+           g.keys.begin() + g.num_seeds;
+  };
+  {
+    // Ring-4: a leader X with a nontrivial orbit whose predecessor has
+    // process 0 eating, so predecessor | 3 (process 0 in state 3) still
+    // sorts between them.
+    const graph::Graph ring4 = graph::make_ring(4);
+    const StateCodec codec(ring4, 0, 2);
+    const SymmetryGroup grp(codec, graph::automorphism_generators(ring4));
+    const std::vector<Key> box = codec.domain_keys();
+    std::size_t i = 1;
+    while (codec.state_of(box[i - 1], 0) != core::DinerState::kEating ||
+           !grp.is_canonical(box[i]) || grp.apply(1, box[i]) == box[i]) {
+      ++i;
+    }
+    std::vector<Key> state3 = box;
+    state3[i] = key_or(box[i - 1], Key{3, 0});
+    EXPECT_TRUE(admits(ring4, state3, box[i])) << "state field 3";
+    std::vector<Key> repeated = box;
+    repeated[i] = box[i - 1];
+    EXPECT_TRUE(admits(ring4, repeated, box[i])) << "repeated key";
+  }
+  {
+    // Star-4: leaf permutations keep every edge's endpoint order, so the
+    // last box key is fixed by the group. A bit past the codec's width
+    // makes it larger still, and every non-identity image drops that bit.
+    const graph::Graph star4 = graph::make_star(4);
+    const StateCodec codec(star4, 0, 2);
+    std::vector<Key> beyond = codec.domain_keys();
+    const Key x = beyond.back();
+    key_set_bits(beyond.back(), codec.bits(), 1, 1);
+    EXPECT_TRUE(admits(star4, beyond, x)) << "bit past the codec width";
   }
 }
 

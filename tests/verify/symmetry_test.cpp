@@ -1,11 +1,13 @@
 // Canonicalization algebra of verify::SymmetryGroup, fuzzed over random
 // domain keys: canon is idempotent, constant on orbits, witnessed by a
 // group element; apply() is a group action consistent with compose() and
-// inverse(); orbit sizes divide the group order (orbit-stabilizer).
+// inverse(); orbit sizes divide the group order (orbit-stabilizer);
+// is_canonical() agrees with canonical() on whole boxes.
 #include "verify/symmetry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -124,6 +126,49 @@ TEST(SymmetryGroup, CanonIsIdempotentConstantOnOrbitsAndWitnessed) {
         EXPECT_EQ(grp.canonical(grp.apply(e, k)), canon);
       }
     }
+  }
+}
+
+TEST(SymmetryGroup, IsCanonicalIsTheLexLeaderTest) {
+  // Every key of four whole boxes: is_canonical agrees with canonical, and
+  // the leaders, one per orbit, number exactly the seeds of the box-seeded
+  // reduced graphs — the depth box [0, 2] of
+  // ExplorerDeterminism.BoxSeededGraphsMatchGoldenHashes, and K4 at its
+  // sound box [0, 4] (diners_mc's 135,300 healthy states).
+  const struct {
+    const char* name;
+    graph::Graph graph;
+    std::int64_t depth_max;
+    std::uint64_t leaders;
+  } boxes[] = {
+      {"K3", graph::make_complete(3), 2, 978},
+      {"ring4", graph::make_ring(4), 2, 13'896},
+      {"star4", graph::make_star(4), 2, 10'260},
+      {"K4", graph::make_complete(4), 4, 135'300},
+  };
+  for (const auto& box : boxes) {
+    const StateCodec codec(box.graph, 0, box.depth_max);
+    const SymmetryGroup grp = make_group(codec, box.graph);
+    std::uint64_t leaders = 0;
+    for (std::uint64_t i = 0; i < codec.domain_size(); ++i) {
+      const Key k = codec.domain_key(i);
+      const bool leader = grp.is_canonical(k);
+      ASSERT_EQ(leader, grp.canonical(k) == k) << box.name << " key " << i;
+      leaders += leader ? 1 : 0;
+    }
+    EXPECT_EQ(leaders, box.leaders) << box.name;
+  }
+  // Ring-12 over [0, 12] is 84 bits wide: process 10's fields straddle bit
+  // 64, so images differ in both words. Random keys are almost never
+  // leaders; their representatives always are.
+  const graph::Graph ring12 = graph::make_ring(12);
+  const StateCodec codec(ring12, 0, 12);
+  ASSERT_GT(codec.bits(), 64u);
+  const SymmetryGroup grp = make_group(codec, ring12);
+  for (const Key& k : random_domain_keys(codec, 2000, 0x1EADu)) {
+    const Key canon = grp.canonical(k);
+    EXPECT_EQ(grp.is_canonical(k), canon == k);
+    EXPECT_TRUE(grp.is_canonical(canon));
   }
 }
 
