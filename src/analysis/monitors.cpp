@@ -1,6 +1,7 @@
 #include "analysis/monitors.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "analysis/invariants.hpp"
 
@@ -30,18 +31,34 @@ MealLatencyMonitor::MealLatencyMonitor(const core::PhilosopherProgram& program,
                                        sim::EngineBase& engine)
     : hungry_since_(program.topology().num_nodes(),
                     static_cast<std::uint64_t>(-1)) {
-  engine.add_observer([this](const sim::StepRecord& record) {
+  // Every PhilosopherProgram gives join, enter, leave and exit one index at
+  // every process, so process 0's names resolve them once; an action the
+  // program lacks keeps an index no step carries.
+  constexpr auto kNone = static_cast<sim::ActionIndex>(-1);
+  sim::ActionIndex join_action = kNone, enter_action = kNone;
+  sim::ActionIndex leave_action = kNone, exit_action = kNone;
+  const sim::ActionIndex actions =
+      program.topology().num_nodes() > 0 ? program.num_actions(0) : 0;
+  for (sim::ActionIndex a = 0; a < actions; ++a) {
+    const std::string_view name = program.action_name(0, a);
+    if (name == "join") join_action = a;
+    if (name == "enter") enter_action = a;
+    if (name == "leave") leave_action = a;
+    if (name == "exit") exit_action = a;
+  }
+  engine.add_observer([this, join_action, enter_action, leave_action,
+                       exit_action](const sim::StepRecord& record) {
     const auto p = record.process;
-    if (record.action_name == "join") {
+    if (record.action == join_action) {
       hungry_since_[p] = record.step;
-    } else if (record.action_name == "enter") {
+    } else if (record.action == enter_action) {
       if (hungry_since_[p] != static_cast<std::uint64_t>(-1)) {
         latencies_.push_back(
             static_cast<double>(record.step - hungry_since_[p]));
         hungry_since_[p] = static_cast<std::uint64_t>(-1);
       }
-    } else if (record.action_name == "leave" ||
-               record.action_name == "exit") {
+    } else if (record.action == leave_action ||
+               record.action == exit_action) {
       // Yielding (dynamic threshold) or a spurious exit abandons the wait;
       // the interrupted wait does not produce a latency sample.
       hungry_since_[p] = static_cast<std::uint64_t>(-1);

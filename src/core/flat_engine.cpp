@@ -280,22 +280,32 @@ void FlatEngine::rebuild(bool keep_ages) const {
     pool.run(blocks, eval_block);
   }
 
-  // Serial merge: summaries, Fenwick, and the age list from the words.
+  // Serial merge: summaries, Fenwick, and the age list from the words. The
+  // bit walk counts each word's slots itself (std::popcount is a libgcc call
+  // without -mpopcnt). After a zero-ages rebuild all stamps are equal, so
+  // slot order is (stamp, slot) order and the walk links the list directly;
+  // a keep-ages rebuild collects the slots, slot-ascending, and a stable
+  // sort by stamp yields (stamp, slot) order.
   std::fill(sum1_.begin(), sum1_.end(), 0);
   std::fill(sum2_.begin(), sum2_.end(), 0);
   total_ = 0;
-  order_.clear();
+  head_ = tail_ = kNull;
+  std::vector<Slot> order;
   for (std::uint32_t w = 0; w < words_; ++w) {
     std::uint64_t word = enabled_[w];
-    if (track_select_) fen_[w + 1] = std::popcount(word);
-    if (word == 0) continue;
-    sum1_[w >> 6] |= 1ULL << (w & 63);
-    total_ += static_cast<std::uint64_t>(std::popcount(word));
-    while (word != 0) {
-      order_.push_back((w << 6) +
-                       static_cast<std::uint32_t>(std::countr_zero(word)));
-      word &= word - 1;
+    if (word != 0) sum1_[w >> 6] |= 1ULL << (w & 63);
+    std::uint32_t count = 0;
+    for (; word != 0; word &= word - 1, ++count) {
+      const Slot s =
+          (w << 6) + static_cast<std::uint32_t>(std::countr_zero(word));
+      if (keep_ages) {
+        order.push_back(s);
+      } else {
+        list_append_tail(s);
+      }
     }
+    total_ += count;
+    if (track_select_) fen_[w + 1] = count;
   }
   for (std::uint32_t s1 = 0; s1 < sum1_words_; ++s1) {
     if (sum1_[s1] != 0) sum2_[s1 >> 6] |= 1ULL << (s1 & 63);
@@ -306,16 +316,12 @@ void FlatEngine::rebuild(bool keep_ages) const {
       if (j <= words_) fen_[j] += fen_[i];
     }
   }
-  // order_ is slot-ascending; a stable sort by stamp yields (stamp, slot)
-  // order. After a zero-ages rebuild all stamps are equal — skip the sort.
   if (keep_ages) {
-    std::stable_sort(order_.begin(), order_.end(),
-                     [this](Slot a, Slot b) {
-                       return enabled_since_[a] < enabled_since_[b];
-                     });
+    std::stable_sort(order.begin(), order.end(), [this](Slot a, Slot b) {
+      return enabled_since_[a] < enabled_since_[b];
+    });
+    for (const Slot s : order) list_append_tail(s);
   }
-  head_ = tail_ = kNull;
-  for (const Slot s : order_) list_append_tail(s);
 }
 
 void FlatEngine::apply_word_diff(std::uint32_t w, std::uint64_t neww) const {

@@ -170,7 +170,6 @@ class FlatEngine final : public sim::EngineBase {
 
   mutable std::vector<sim::ProcessId> dirty_;
   mutable Refresh pending_ = Refresh::kZeroAges;  ///< first build deferred
-  mutable std::vector<Slot> order_;               ///< rebuild scratch
   mutable std::vector<std::uint32_t> dirty_blocks_;   ///< wide-refresh scratch
   mutable std::vector<std::uint64_t> block_words_;    ///< wide-refresh scratch
 

@@ -57,6 +57,23 @@ class VisitedShard {
   CompactKeyIndex packed_;
 };
 
+/// One T per worker, each on its own cache line. Parallel phases write
+/// their worker's object per item (a vector header per push_back, a counter
+/// per candidate), and two workers' objects on one line would bounce it
+/// between cores on every write (DESIGN.md §8).
+template <class T>
+class PerWorker {
+ public:
+  explicit PerWorker(std::size_t workers) : slots_(workers) {}
+  [[nodiscard]] T& operator[](std::size_t w) { return slots_[w].value; }
+
+ private:
+  struct alignas(64) Slot {
+    T value;
+  };
+  std::vector<Slot> slots_;
+};
+
 }  // namespace
 
 Explorer::Explorer(core::DinersSystem& scratch, const StateCodec& codec,
@@ -332,7 +349,7 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
 
   // Per-worker reduction accounting, summed after the BFS. The candidate
   // stream is jobs-invariant, so the totals are too.
-  std::vector<StateGraph::ReductionStats> wstats(jobs);
+  PerWorker<StateGraph::ReductionStats> wstats(jobs);
 
   // Demonic writes once per base: the demon candidates of k are
   // {base | pattern_i} minus k itself, with base = k & ~demon_mask — a
@@ -360,10 +377,10 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
       std::clamp((std::size_t{1} << 21) / per_state_est, std::size_t{1024},
                  std::size_t{1} << 18));
 
-  std::vector<std::vector<Cand>> wcands(jobs);
-  std::vector<std::vector<std::vector<std::uint32_t>>> outbox(
-      jobs, std::vector<std::vector<std::uint32_t>>(jobs));
-  std::vector<std::vector<std::uint32_t>> shard_fresh(jobs);
+  PerWorker<std::vector<Cand>> wcands(jobs);
+  /// outbox[w * jobs + t]: worker w's candidate ordinals for shard t.
+  PerWorker<std::vector<std::uint32_t>> outbox(std::size_t{jobs} * jobs);
+  PerWorker<std::vector<std::uint32_t>> shard_fresh(jobs);
   std::vector<Cand> cands;
   std::vector<std::uint32_t> resolved;
   std::vector<std::uint32_t> cand_count;
@@ -426,7 +443,7 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
         for (std::uint32_t j = 0; j < total; ++j) scan(j);
       } else {
         for (unsigned w = 0; w < jobs; ++w) {
-          for (const std::uint32_t j : outbox[w][t]) scan(j);
+          for (const std::uint32_t j : outbox[w * jobs + t]) scan(j);
         }
       }
     });
@@ -577,9 +594,9 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
     pool.run(jobs, [&](std::size_t w) {
       std::copy(wcands[w].begin(), wcands[w].end(), cands.begin() + woff[w]);
       if (jobs > 1) {
-        for (auto& ob : outbox[w]) ob.clear();
+        for (unsigned t = 0; t < jobs; ++t) outbox[w * jobs + t].clear();
         for (std::size_t j = woff[w]; j < woff[w + 1]; ++j) {
-          outbox[w][shard_of(cands[j].key)].push_back(
+          outbox[w * jobs + shard_of(cands[j].key)].push_back(
               static_cast<std::uint32_t>(j));
         }
       }
@@ -629,7 +646,7 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
   // as canonical hits.
   std::size_t seed_done = 0;
   constexpr std::size_t kSeedChunk = std::size_t{1} << 21;
-  std::vector<std::vector<std::uint32_t>> leaders(whole_box ? jobs : 0);
+  PerWorker<std::vector<std::uint32_t>> leaders(whole_box ? jobs : 0);
   while (seed_done < seeds.size() && g.complete) {
     const std::size_t count = std::min(kSeedChunk, seeds.size() - seed_done);
     const std::size_t block = (count + jobs - 1) / jobs;
@@ -651,8 +668,8 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
       });
       // Worker blocks ascend, so this is seed order.
       const auto first = static_cast<std::uint32_t>(g.keys.size());
-      for (const auto& mine : leaders) {
-        for (const std::uint32_t j : mine) {
+      for (unsigned w = 0; w < jobs; ++w) {
+        for (const std::uint32_t j : leaders[w]) {
           if (g.keys.size() == cap) {
             g.complete = false;
             break;
@@ -686,9 +703,9 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
           }
         }
         if (jobs > 1) {
-          for (auto& ob : outbox[w]) ob.clear();
+          for (unsigned t = 0; t < jobs; ++t) outbox[w * jobs + t].clear();
           for (std::size_t j = lo; j < hi; ++j) {
-            outbox[w][shard_of(cands[j].key)].push_back(
+            outbox[w * jobs + shard_of(cands[j].key)].push_back(
                 static_cast<std::uint32_t>(j));
           }
         }
@@ -720,7 +737,8 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
     }
   }
 
-  for (const auto& ws : wstats) {
+  for (unsigned w = 0; w < jobs; ++w) {
+    const auto& ws = wstats[w];
     g.reduction.raw_candidates += ws.raw_candidates;
     g.reduction.canonical_hits += ws.canonical_hits;
     g.reduction.por_ample_states += ws.por_ample_states;

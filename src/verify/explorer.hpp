@@ -51,7 +51,7 @@
 // admits the seeds SymmetryGroup::is_canonical accepts (the lex-leaders)
 // with the identity witness, and only counts the rest as canonical hits —
 // the same graph and counts as canonicalizing and probing every seed.
-// Counterexample lifting and the group-product fairness analysis in
+// Counterexample lifting and the fair-cycle search's product lifts in
 // properties.cpp consume the witnesses; the quotient answers reachability
 // questions about the orbit closure of the seed set (for symmetric
 // properties this equals the unreduced verdict — DESIGN.md section 10).

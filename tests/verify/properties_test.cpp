@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 
 #include "analysis/invariants.hpp"
 #include "core/serialize.hpp"
 #include "graph/automorphisms.hpp"
 #include "graph/generators.hpp"
+#include "util/rng.hpp"
 #include "verify/explorer.hpp"
 #include "verify/symmetry.hpp"
 
@@ -228,6 +234,374 @@ TEST_F(SwapProduct, BadStateInATrivialQuotientSccIsNeverReported) {
                                {{2, kFix0}}});
   EXPECT_FALSE(check_convergence(chain, {0, 0, 1}).has_value());
   EXPECT_FALSE(check_no_starvation(chain, codec_, 0).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// One lift spans as many frames as the witness product of its cycle has
+// order: a quotient self-loop under an order-3 witness of K3's S3 closes
+// only after three laps, one per frame.
+
+TEST(FairCycleLift, OrderThreeSelfLoopSpansThreeFrames) {
+  const graph::Graph topo = graph::make_complete(3);
+  const StateCodec codec(topo, 0, 1);
+  const auto group = std::make_shared<SymmetryGroup>(
+      codec, graph::automorphism_generators(topo));
+  ASSERT_EQ(group->size(), 6u);
+  SymmetryGroup::ElemId rot = SymmetryGroup::kIdentity;
+  for (SymmetryGroup::ElemId e = 1; e < group->size(); ++e) {
+    const SymmetryGroup::ElemId twice = group->compose(e, e);
+    if (twice != SymmetryGroup::kIdentity &&
+        group->compose(e, twice) == SymmetryGroup::kIdentity) {
+      rot = e;
+      break;
+    }
+  }
+  ASSERT_NE(rot, SymmetryGroup::kIdentity);
+
+  const auto bits = [](sim::ActionIndex a) {
+    std::uint64_t m = 0;
+    for (P p = 0; p < 3; ++p) m |= std::uint64_t{1} << protocol_move(p, a);
+    return m;
+  };
+  const std::uint64_t fixes = bits(DinersSystem::kFixDepth);
+  constexpr std::uint16_t kFix = protocol_move(0, DinersSystem::kFixDepth);
+  // One all-hungry state whose only arc is a self-loop running (0, fixdepth)
+  // under `witness`.
+  const auto loop = [&](SymmetryGroup::ElemId witness,
+                        std::uint64_t enabled) {
+    StateGraph g = tiny_graph({enabled}, {{{0, kFix, witness}}});
+    for (P p = 0; p < 3; ++p) {
+      key_set_bits(g.keys[0], codec.state_pos(p), 2,
+                   static_cast<std::uint64_t>(core::DinerState::kHungry));
+    }
+    g.sym = group;
+    return g;
+  };
+
+  // Fair: the lift from (0, id) passes frames id, rot and rot^2, so each
+  // process runs fixdepth in turn and every always-enabled action fires.
+  const StateGraph fair = loop(rot, fixes);
+  for (const auto& v :
+       {check_convergence(fair, {0}), check_no_starvation(fair, codec, 0)}) {
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->kind, Violation::Kind::kCycle);
+    EXPECT_EQ(v->state, 0u);
+    ASSERT_EQ(v->cycle.size(), 3u);
+    for (const auto& arc : v->cycle) {
+      EXPECT_EQ(arc.to, 0u);
+      EXPECT_EQ(arc.witness, rot);
+    }
+    EXPECT_NE(v->detail.find("SCC of 3 states"), std::string::npos)
+        << v->detail;
+  }
+
+  // Unfair: every process's exit is enabled throughout and never fires.
+  const StateGraph unfair = loop(rot, fixes | bits(DinersSystem::kExit));
+  EXPECT_FALSE(check_convergence(unfair, {0}).has_value());
+  EXPECT_FALSE(check_no_starvation(unfair, codec, 0).has_value());
+
+  // Under the identity witness the loop never leaves its frame: only
+  // (0, fixdepth) fires while the other two stay enabled.
+  EXPECT_FALSE(
+      check_convergence(loop(SymmetryGroup::kIdentity, fixes), {0})
+          .has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the coset-frame search against a brute-force reference that
+// runs one Tarjan over every (state, group element) product node. The lift
+// argument uses only the group's action on frames, never the symmetry of
+// the keys, so random quotient graphs with random witnesses are valid
+// inputs.
+
+/// The product of a quotient graph with its group (trivial when g.sym is
+/// null), restricted to `bad` nodes minus `excluded` arcs: node (s, h) is
+/// s * |G| + h and stands for A_{h^{-1}}(rep(s)).
+class BruteForceProduct {
+ public:
+  using Elem = SymmetryGroup::ElemId;
+  using Bad = std::function<bool(std::uint32_t, Elem)>;
+  using Excluded = std::function<bool(Elem, const StateGraph::Arc&)>;
+
+  BruteForceProduct(const StateGraph& g, Bad bad, Excluded excluded)
+      : g_(g),
+        order_(g.sym != nullptr ? g.sym->size() : 1),
+        bad_(std::move(bad)),
+        excluded_(std::move(excluded)),
+        index_(g.num_states() * order_, -1),
+        low_(index_.size(), 0),
+        on_stack_(index_.size(), 0),
+        scc_(index_.size(), -1) {
+    for (std::size_t u = 0; u < index_.size(); ++u) {
+      if (index_[u] < 0 && is_bad(u)) strong_connect(u);
+    }
+    std::vector<std::uint64_t> always(fair_.size(), ~std::uint64_t{0});
+    std::vector<std::uint64_t> executed(fair_.size(), 0);
+    std::vector<std::uint8_t> cyclic(fair_.size(), 0);
+    for (std::size_t u = 0; u < index_.size(); ++u) {
+      if (scc_[u] < 0) continue;
+      const auto c = static_cast<std::size_t>(scc_[u]);
+      const Elem h_inv = inverse(frame(u));
+      always[c] &= permute_mask(h_inv, g_.enabled[state(u)]);
+      for (const auto& arc : g_.arcs_of(state(u))) {
+        const auto v = step(u, arc);
+        if (!v || scc_[*v] != scc_[u]) continue;
+        cyclic[c] = 1;
+        executed[c] |= std::uint64_t{1} << permute_move(h_inv, arc.move);
+      }
+    }
+    std::uint64_t joins = 0;
+    for (std::uint16_t m = DinersSystem::kJoin; m < 64;
+         m += DinersSystem::kNumActions) {
+      joins |= std::uint64_t{1} << m;
+    }
+    for (std::size_t c = 0; c < fair_.size(); ++c) {
+      fair_[c] = cyclic[c] != 0 && (always[c] & ~joins & ~executed[c]) == 0;
+    }
+  }
+
+  [[nodiscard]] std::size_t order() const { return order_; }
+  [[nodiscard]] bool any_fair() const {
+    return std::find(fair_.begin(), fair_.end(), 1) != fair_.end();
+  }
+
+  /// Whether `cycle`, walked from (s, h), stays inside one fair SCC and
+  /// closes at (s, h).
+  [[nodiscard]] bool closes_in_fair_scc(
+      std::uint32_t s, Elem h, const std::vector<StateGraph::Arc>& cycle) const {
+    const std::size_t start = s * order_ + h;
+    if (scc_[start] < 0 || fair_[static_cast<std::size_t>(scc_[start])] == 0) {
+      return false;
+    }
+    std::size_t u = start;
+    for (const auto& arc : cycle) {
+      const auto out = g_.arcs_of(state(u));
+      const bool listed =
+          std::any_of(out.begin(), out.end(), [&](const StateGraph::Arc& a) {
+            return a.to == arc.to && a.move == arc.move &&
+                   a.witness == arc.witness;
+          });
+      const auto v = step(u, arc);
+      if (!listed || !v || scc_[*v] != scc_[start]) return false;
+      u = *v;
+    }
+    return u == start;
+  }
+
+ private:
+  [[nodiscard]] std::uint32_t state(std::size_t u) const {
+    return static_cast<std::uint32_t>(u / order_);
+  }
+  [[nodiscard]] Elem frame(std::size_t u) const {
+    return static_cast<Elem>(u % order_);
+  }
+  [[nodiscard]] bool is_bad(std::size_t u) const {
+    return bad_(state(u), frame(u));
+  }
+  [[nodiscard]] Elem inverse(Elem h) const {
+    return g_.sym != nullptr ? g_.sym->inverse(h) : h;
+  }
+  [[nodiscard]] std::uint64_t permute_mask(Elem e, std::uint64_t m) const {
+    return g_.sym != nullptr ? g_.sym->permute_mask(e, m) : m;
+  }
+  [[nodiscard]] std::uint16_t permute_move(Elem e, std::uint16_t m) const {
+    return g_.sym != nullptr ? g_.sym->permute_move(e, m) : m;
+  }
+
+  /// The product arc from u along `arc`, if it is kept and ends bad.
+  [[nodiscard]] std::optional<std::size_t> step(
+      std::size_t u, const StateGraph::Arc& arc) const {
+    if (excluded_(frame(u), arc)) return std::nullopt;
+    const Elem t =
+        g_.sym != nullptr ? g_.sym->compose(arc.witness, frame(u)) : 0;
+    const std::size_t v = arc.to * order_ + t;
+    if (!is_bad(v)) return std::nullopt;
+    return v;
+  }
+
+  void strong_connect(std::size_t u) {
+    index_[u] = low_[u] = counter_++;
+    stack_.push_back(u);
+    on_stack_[u] = 1;
+    for (const auto& arc : g_.arcs_of(state(u))) {
+      const auto v = step(u, arc);
+      if (!v) continue;
+      if (index_[*v] < 0) {
+        strong_connect(*v);
+        low_[u] = std::min(low_[u], low_[*v]);
+      } else if (on_stack_[*v] != 0) {
+        low_[u] = std::min(low_[u], index_[*v]);
+      }
+    }
+    if (low_[u] != index_[u]) return;
+    const auto id = static_cast<int>(fair_.size());
+    fair_.push_back(0);
+    std::size_t v;
+    do {
+      v = stack_.back();
+      stack_.pop_back();
+      on_stack_[v] = 0;
+      scc_[v] = id;
+    } while (v != u);
+  }
+
+  const StateGraph& g_;
+  std::size_t order_;
+  Bad bad_;
+  Excluded excluded_;
+  std::vector<int> index_, low_;
+  std::vector<std::uint8_t> on_stack_;
+  std::vector<int> scc_;  ///< node -> SCC id, -1 for good nodes
+  std::vector<std::uint8_t> fair_;  ///< SCC id -> fair-feasible
+  std::vector<std::size_t> stack_;
+  int counter_ = 0;
+};
+
+TEST(FairCycleDifferential, CosetSearchMatchesTheBruteForceProduct) {
+  struct Family {
+    std::string name;
+    graph::Graph topo;
+    bool reduced;
+    bool fix_node0;  ///< use the stabilizer of node 0 instead of Aut
+  };
+  std::vector<Family> families;
+  families.push_back({"K3 under S3", graph::make_complete(3), true, false});
+  families.push_back({"ring-4 under D4", graph::make_ring(4), true, false});
+  families.push_back(
+      {"ring-4 under the stabilizer of 0", graph::make_ring(4), true, true});
+  families.push_back({"K3 unreduced", graph::make_complete(3), false, false});
+
+  util::Xoshiro256 rng(27);
+  std::size_t graphs = 0;
+  std::map<std::string, std::size_t> outcomes;
+  for (const auto& fam : families) {
+    const StateCodec codec(fam.topo, 0, 1);
+    const auto n = static_cast<P>(fam.topo.num_nodes());
+    std::shared_ptr<const SymmetryGroup> group;
+    if (fam.reduced) {
+      group = std::make_shared<SymmetryGroup>(
+          codec, graph::automorphism_generators(fam.topo));
+      if (fam.fix_node0) {
+        std::vector<std::uint8_t> label(n, 0);
+        label[0] = 1;
+        group = group->stabilizer(label);
+      }
+    }
+    for (int trial = 0; trial < 150; ++trial, ++graphs) {
+      const auto states = static_cast<std::uint32_t>(1 + rng.below(12));
+      std::vector<std::uint64_t> enabled(states, 0);
+      std::vector<std::vector<StateGraph::Arc>> arcs(states);
+      for (std::uint32_t s = 0; s < states; ++s) {
+        const std::uint64_t out = rng.chance(1.0 / 16) ? 0 : 1 + rng.below(3);
+        for (std::uint64_t a = 0; a < out; ++a) {
+          const auto move = protocol_move(
+              static_cast<P>(rng.below(n)),
+              static_cast<sim::ActionIndex>(
+                  rng.below(DinersSystem::kNumActions)));
+          const auto witness = static_cast<SymmetryGroup::ElemId>(
+              group != nullptr ? rng.below(group->size()) : 0);
+          arcs[s].push_back(StateGraph::Arc{
+              static_cast<std::uint32_t>(rng.below(states)), move, witness});
+          enabled[s] |= std::uint64_t{1} << move;
+        }
+        for (std::uint16_t m = 0; m < n * DinersSystem::kNumActions; ++m) {
+          if (rng.chance(1.0 / 8)) enabled[s] |= std::uint64_t{1} << m;
+        }
+      }
+      StateGraph g = tiny_graph(std::move(enabled), std::move(arcs));
+      g.sym = group;
+      std::vector<std::uint8_t> inv(states);
+      for (std::uint32_t s = 0; s < states; ++s) {
+        inv[s] = rng.chance(0.25) ? 1 : 0;
+        for (P p = 0; p < n; ++p) {
+          const auto diner = rng.chance(0.5)   ? core::DinerState::kHungry
+                             : rng.chance(0.5) ? core::DinerState::kThinking
+                                               : core::DinerState::kEating;
+          key_set_bits(g.keys[s], codec.state_pos(p), 2,
+                       static_cast<std::uint64_t>(diner));
+        }
+      }
+      const std::string ctx =
+          fam.name + " trial " + std::to_string(trial);
+
+      // The check agrees with the reference: the first terminal state of
+      // `live` is stuck; otherwise a violation exists iff the product has a
+      // fair SCC, and the reported cycle closes inside one from its state.
+      const auto agree = [&](const std::optional<Violation>& v,
+                             const std::vector<std::uint8_t>& live,
+                             const BruteForceProduct& ref,
+                             const std::string& what) {
+        std::optional<std::uint32_t> stuck;
+        for (std::uint32_t s = 0; s < states && !stuck; ++s) {
+          if (live[s] != 0 && g.succ_begin[s] == g.succ_begin[s + 1]) {
+            stuck = s;
+          }
+        }
+        ++outcomes[what.substr(0, what.find(' ')) + " " +
+                   (stuck ? "stuck" : ref.any_fair() ? "cycle" : "ok")];
+        if (stuck) {
+          ASSERT_TRUE(v.has_value()) << ctx << " " << what;
+          EXPECT_EQ(v->kind, Violation::Kind::kStuck) << ctx << " " << what;
+          EXPECT_EQ(v->state, *stuck) << ctx << " " << what;
+          return;
+        }
+        ASSERT_EQ(v.has_value(), ref.any_fair()) << ctx << " " << what;
+        if (!v) return;
+        EXPECT_EQ(v->kind, Violation::Kind::kCycle) << ctx << " " << what;
+        bool closes = false;
+        for (std::size_t h = 0; h < ref.order() && !closes; ++h) {
+          closes = ref.closes_in_fair_scc(
+              v->state, static_cast<SymmetryGroup::ElemId>(h), v->cycle);
+        }
+        EXPECT_TRUE(closes) << ctx << " " << what << ": " << v->detail;
+      };
+
+      std::vector<std::uint8_t> not_inv(states);
+      for (std::uint32_t s = 0; s < states; ++s) not_inv[s] = 1 - inv[s];
+      agree(check_convergence(g, inv), not_inv,
+            BruteForceProduct(
+                g, [&](std::uint32_t s, auto) { return inv[s] == 0; },
+                [](auto, const auto&) { return false; }),
+            "convergence");
+
+      for (P p = 0; p < n; ++p) {
+        const auto at = [&](SymmetryGroup::ElemId h) {
+          return group != nullptr ? group->apply_node(h, p) : p;
+        };
+        const auto hungry = [&](std::uint32_t s, P q) {
+          return codec.state_of(g.keys[s], q) == core::DinerState::kHungry;
+        };
+        std::vector<std::uint8_t> live(states, 0);
+        for (std::uint32_t s = 0; s < states; ++s) {
+          for (std::size_t h = 0; h < (group ? group->size() : 1); ++h) {
+            if (hungry(s, at(static_cast<SymmetryGroup::ElemId>(h)))) {
+              live[s] = 1;
+            }
+          }
+        }
+        agree(check_no_starvation(g, codec, p), live,
+              BruteForceProduct(
+                  g,
+                  [&](std::uint32_t s, SymmetryGroup::ElemId h) {
+                    return hungry(s, at(h));
+                  },
+                  [&](SymmetryGroup::ElemId h, const StateGraph::Arc& arc) {
+                    return move_action(arc.move) == DinersSystem::kEnter &&
+                           move_process(arc.move) == at(h);
+                  }),
+              "starvation of " + std::to_string(p));
+      }
+    }
+  }
+  // Every outcome occurs often, so that a search that misses real cycles or
+  // reports spurious ones cannot pass by never meeting either.
+  EXPECT_GE(graphs, 500u);
+  for (const char* check : {"convergence", "starvation"}) {
+    for (const char* outcome : {"stuck", "cycle", "ok"}) {
+      EXPECT_GE(outcomes[std::string(check) + " " + outcome], 100u)
+          << check << " " << outcome;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

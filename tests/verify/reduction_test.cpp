@@ -219,10 +219,10 @@ std::string kind_of(const std::optional<Violation>& v) {
 }
 
 TEST(Reduction, RandomSymmetricLabelsGiveTheUnreducedVerdict) {
-  // The group-product search and its quotient-SCC prefilter must decide any
-  // symmetric bad set exactly as the unreduced search does, not only the
-  // labels the protocol's own properties produce. A label bit is drawn per
-  // quotient state of a box-seeded sym-only graph and lifted to every orbit
+  // The coset-frame fair-cycle search must decide any symmetric bad set
+  // exactly as the unreduced search does, not only the labels the
+  // protocol's own properties produce. A label bit is drawn per quotient
+  // state of a box-seeded sym-only graph and lifted to every orbit
   // member of the unreduced graph. check_far_safety reads the label as the
   // bad set (sparse: fragmented SCCs, some fair and some not) and
   // check_convergence as I (a dense bad set). Every topology must yield at
