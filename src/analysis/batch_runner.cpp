@@ -110,8 +110,6 @@ TrialOutput run_scenario_trial(const ScenarioOptions& scenario,
   harness_options.seed = util::derive_seed(seed, kHarnessStream);
   harness_options.scan_mode = scenario.scan_mode;
   harness_options.engine_kind = scenario.engine_kind;
-  harness_options.rebuild_jobs = scenario.rebuild_jobs;
-  harness_options.step_jobs = scenario.step_jobs;
   ExperimentHarness harness(system, std::move(workload),
                             fault::CrashPlan(std::move(events)),
                             harness_options);

@@ -110,11 +110,9 @@ struct ScenarioOptions {
   /// Engine implementation driving every trial (flat = core::FlatEngine;
   /// aggregates are bit-identical to the object engine's).
   sim::EngineKind engine_kind = sim::EngineKind::kObject;
-  /// Rebuild shard count inside the flat engine (per trial, on top of the
-  /// batch-level `jobs` fan-out). Results identical at every value.
+  /// Ignored; kept only because perfbench/src/world.cpp still copies it.
   unsigned rebuild_jobs = 1;
-  /// Wide in-step refresh shard count inside the flat engine (per trial).
-  /// Results identical at every value.
+  /// Ignored; kept only because perfbench/src/world.cpp still copies it.
   unsigned step_jobs = 1;
 
   /// Start from a uniformly corrupted state (Theorem 1 experiments).

@@ -25,8 +25,7 @@ ExperimentHarness::ExperimentHarness(DinersSystem& system,
   const std::uint64_t daemon_seed = util::derive_seed(options_.seed, 1);
   if (options_.engine_kind == sim::EngineKind::kFlat) {
     engine_ = std::make_unique<core::FlatEngine>(
-        system_, options_.daemon, daemon_seed, options_.fairness_bound,
-        options_.rebuild_jobs, options_.step_jobs);
+        system_, options_.daemon, daemon_seed, options_.fairness_bound);
   } else {
     engine_ = std::make_unique<sim::Engine>(
         system_, sim::make_daemon(options_.daemon, daemon_seed),

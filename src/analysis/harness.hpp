@@ -30,11 +30,9 @@ struct HarnessOptions {
   /// Which engine implementation drives the run. kFlat selects the
   /// structure-of-arrays core::FlatEngine (byte-identical step traces).
   sim::EngineKind engine_kind = sim::EngineKind::kObject;
-  /// Worker count for the flat engine's sharded full rebuilds. Results are
-  /// identical at every value; ignored by the object engine.
+  /// Ignored; kept only because perfbench/src/world.cpp still copies it.
   unsigned rebuild_jobs = 1;
-  /// Shard count for the flat engine's wide in-step dirty refreshes.
-  /// Results are identical at every value; ignored by the object engine.
+  /// Ignored; kept only because perfbench/src/world.cpp still copies it.
   unsigned step_jobs = 1;
 };
 

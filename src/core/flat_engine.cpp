@@ -4,8 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace diners::core {
 
 namespace {
@@ -18,23 +16,11 @@ constexpr std::uint64_t mask_above(std::uint32_t b) {
   return b == 63 ? 0 : ~0ULL << (b + 1);
 }
 
-/// Dirty sets below this take the per-process refresh path; at or above
-/// it (and with step_jobs > 1) whole 64-process blocks re-sweep in
-/// parallel. Three full blocks is where the block sweep's redundant
-/// recomputes amortize.
-constexpr std::size_t kWideRefreshMinDirty = 192;
-
 }  // namespace
 
 FlatEngine::FlatEngine(DinersSystem& system, const std::string& daemon,
-                       std::uint64_t daemon_seed, std::uint64_t fairness_bound,
-                       unsigned rebuild_jobs, unsigned step_jobs)
-    : system_(system),
-      daemon_name_(daemon),
-      rng_(daemon_seed),
-      fairness_bound_(fairness_bound),
-      rebuild_jobs_(rebuild_jobs),
-      step_jobs_(step_jobs) {
+                       std::uint64_t daemon_seed, std::uint64_t fairness_bound)
+    : system_(system), rng_(daemon_seed), fairness_bound_(fairness_bound) {
   if (daemon == "round-robin") {
     kind_ = DaemonKind::kRoundRobin;
   } else if (daemon == "random") {
@@ -48,12 +34,6 @@ FlatEngine::FlatEngine(DinersSystem& system, const std::string& daemon,
   }
   if (fairness_bound_ == 0) {
     throw std::invalid_argument("FlatEngine: fairness bound must be positive");
-  }
-  if (rebuild_jobs_ == 0) {
-    throw std::invalid_argument("FlatEngine: rebuild jobs must be positive");
-  }
-  if (step_jobs_ == 0) {
-    throw std::invalid_argument("FlatEngine: step jobs must be positive");
   }
   track_select_ = kind_ == DaemonKind::kRandom;
   n_ = system_.topology().num_nodes();
@@ -247,41 +227,10 @@ void FlatEngine::sweep_block_words(std::uint32_t block,
 }
 
 void FlatEngine::rebuild(bool keep_ages) const {
-  // Parallel phase: 64-process blocks (5 * 64 = 320 slots = exactly five
-  // words) sweep guards via sweep_block_words and write their disjoint
-  // enabled words and stamps. Output is a pure function of program state,
-  // so it is bit-identical for every jobs count and partition.
-  const auto eval_block = [&](std::size_t block) {
-    std::uint64_t w5[kActions];
-    sweep_block_words(static_cast<std::uint32_t>(block), w5);
-    const auto wbase = static_cast<std::uint32_t>(block) * kActions;
-    const std::uint32_t wcnt = std::min(kActions, words_ - wbase);
-    for (std::uint32_t k = 0; k < wcnt; ++k) {
-      const std::uint32_t w = wbase + k;
-      const std::uint64_t neww = w5[k];
-      // A zero-ages rebuild stamps every now-enabled slot; keep-ages
-      // stamps only newly enabled ones. Disabled slots keep stale stamps
-      // (dead values), exactly like the per-process path.
-      std::uint64_t to_stamp = keep_ages ? (neww & ~enabled_[w]) : neww;
-      while (to_stamp != 0) {
-        const Slot s =
-            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(to_stamp));
-        enabled_since_[s] = steps_;
-        to_stamp &= to_stamp - 1;
-      }
-      enabled_[w] = neww;
-    }
-  };
-  const std::size_t blocks = (static_cast<std::size_t>(n_) + 63) / 64;
-  if (rebuild_jobs_ <= 1) {
-    for (std::size_t b = 0; b < blocks; ++b) eval_block(b);
-  } else {
-    util::TrialPool pool(rebuild_jobs_);
-    pool.run(blocks, eval_block);
-  }
-
-  // Serial merge: summaries, Fenwick, and the age list from the words. The
-  // bit walk counts each word's slots itself (std::popcount is a libgcc call
+  // One pass over 64-process blocks (5 * 64 = 320 slots = exactly five
+  // words): sweep_block_words packs each block's guards, then each word
+  // folds into the stamps, summaries, Fenwick counts and age list. The bit
+  // walk counts each word's slots itself (std::popcount is a libgcc call
   // without -mpopcnt). After a zero-ages rebuild all stamps are equal, so
   // slot order is (stamp, slot) order and the walk links the list directly;
   // a keep-ages rebuild collects the slots, slot-ascending, and a stable
@@ -291,21 +240,38 @@ void FlatEngine::rebuild(bool keep_ages) const {
   total_ = 0;
   head_ = tail_ = kNull;
   std::vector<Slot> order;
-  for (std::uint32_t w = 0; w < words_; ++w) {
-    std::uint64_t word = enabled_[w];
-    if (word != 0) sum1_[w >> 6] |= 1ULL << (w & 63);
-    std::uint32_t count = 0;
-    for (; word != 0; word &= word - 1, ++count) {
-      const Slot s =
-          (w << 6) + static_cast<std::uint32_t>(std::countr_zero(word));
-      if (keep_ages) {
-        order.push_back(s);
-      } else {
-        list_append_tail(s);
+  const std::uint32_t blocks = (n_ + 63) / 64;  // n_ * 5 fits in a Slot
+  for (std::uint32_t block = 0; block < blocks; ++block) {
+    std::uint64_t w5[kActions];
+    sweep_block_words(block, w5);
+    const std::uint32_t wbase = block * kActions;
+    const std::uint32_t wcnt = std::min(kActions, words_ - wbase);
+    for (std::uint32_t k = 0; k < wcnt; ++k) {
+      const std::uint32_t w = wbase + k;
+      std::uint64_t word = w5[k];
+      // A zero-ages rebuild stamps every now-enabled slot; keep-ages
+      // stamps only newly enabled ones. Disabled slots keep stale stamps
+      // (dead values), exactly like the per-process path.
+      std::uint64_t to_stamp = keep_ages ? (word & ~enabled_[w]) : word;
+      for (; to_stamp != 0; to_stamp &= to_stamp - 1) {
+        enabled_since_[(w << 6) + static_cast<std::uint32_t>(
+                                      std::countr_zero(to_stamp))] = steps_;
       }
+      enabled_[w] = word;
+      if (word != 0) sum1_[w >> 6] |= 1ULL << (w & 63);
+      std::uint32_t count = 0;
+      for (; word != 0; word &= word - 1, ++count) {
+        const Slot s =
+            (w << 6) + static_cast<std::uint32_t>(std::countr_zero(word));
+        if (keep_ages) {
+          order.push_back(s);
+        } else {
+          list_append_tail(s);
+        }
+      }
+      total_ += count;
+      if (track_select_) fen_[w + 1] = count;
     }
-    total_ += count;
-    if (track_select_) fen_[w + 1] = count;
   }
   for (std::uint32_t s1 = 0; s1 < sum1_words_; ++s1) {
     if (sum1_[s1] != 0) sum2_[s1 >> 6] |= 1ULL << (s1 & 63);
@@ -324,89 +290,14 @@ void FlatEngine::rebuild(bool keep_ages) const {
   }
 }
 
-void FlatEngine::apply_word_diff(std::uint32_t w, std::uint64_t neww) const {
-  const std::uint64_t old = enabled_[w];
-  std::uint64_t add = neww & ~old;
-  std::uint64_t rem = old & ~neww;
-  if (add == 0 && rem == 0) return;
-  enabled_[w] = neww;
-  const std::uint32_t s1 = w >> 6;
-  if (old == 0) {
-    if (sum1_[s1] == 0) sum2_[s1 >> 6] |= 1ULL << (s1 & 63);
-    sum1_[s1] |= 1ULL << (w & 63);
-  } else if (neww == 0) {
-    sum1_[s1] &= ~(1ULL << (w & 63));
-    if (sum1_[s1] == 0) sum2_[s1 >> 6] &= ~(1ULL << (s1 & 63));
-  }
-  const auto delta = static_cast<std::int64_t>(std::popcount(neww)) -
-                     static_cast<std::int64_t>(std::popcount(old));
-  if (delta != 0) {
-    fenwick_add(w, delta);
-    total_ += static_cast<std::uint64_t>(delta);
-  }
-  while (rem != 0) {
-    const Slot s =
-        (w << 6) + static_cast<std::uint32_t>(std::countr_zero(rem));
-    rem &= rem - 1;
-    list_unlink(s);
-  }
-  while (add != 0) {
-    const Slot s =
-        (w << 6) + static_cast<std::uint32_t>(std::countr_zero(add));
-    add &= add - 1;
-    enabled_since_[s] = steps_;
-    list_insert_max_stamp(s);
-  }
-}
-
-void FlatEngine::wide_refresh() const {
-  // Parallel phase: the dirty processes' 64-process blocks re-sweep into
-  // per-block scratch words (a pure function of program state — any
-  // partition yields the same words; re-sweeping a clean process in a
-  // dirty block recomputes its unchanged guards, a no-op in the fold).
-  dirty_blocks_.clear();
-  for (const sim::ProcessId q : dirty_) {
-    dirty_blocks_.push_back(static_cast<std::uint32_t>(q) >> 6);
-  }
-  std::sort(dirty_blocks_.begin(), dirty_blocks_.end());
-  dirty_blocks_.erase(
-      std::unique(dirty_blocks_.begin(), dirty_blocks_.end()),
-      dirty_blocks_.end());
-  block_words_.resize(dirty_blocks_.size() * kActions);
-  const auto sweep = [&](std::size_t i) {
-    sweep_block_words(dirty_blocks_[i], &block_words_[i * kActions]);
-  };
-  if (dirty_blocks_.size() == 1) {
-    sweep(0);
-  } else {
-    util::TrialPool pool(step_jobs_);
-    pool.run(dirty_blocks_.size(), sweep);
-  }
-  // Serial fold, block-ascending. Every slot this fold enables carries
-  // the same stamp (steps_) and the age list is (stamp, slot)-ordered, so
-  // the result is byte-identical to the per-process refresh path.
-  for (std::size_t i = 0; i < dirty_blocks_.size(); ++i) {
-    const std::uint32_t wbase = dirty_blocks_[i] * kActions;
-    const std::uint32_t wcnt = std::min(kActions, words_ - wbase);
-    for (std::uint32_t k = 0; k < wcnt; ++k) {
-      apply_word_diff(wbase + k, block_words_[i * kActions + k]);
-    }
-  }
-}
-
 void FlatEngine::ensure_fresh() const {
   if (pending_ != Refresh::kNone) {
     rebuild(/*keep_ages=*/pending_ == Refresh::kKeepAges);
-    dirty_.clear();
     pending_ = Refresh::kNone;
-  } else if (!dirty_.empty()) {
-    if (step_jobs_ > 1 && dirty_.size() >= kWideRefreshMinDirty) {
-      wide_refresh();
-    } else {
-      for (const sim::ProcessId q : dirty_) refresh_process(q);
-    }
-    dirty_.clear();
+  } else {
+    for (const sim::ProcessId q : dirty_) refresh_process(q);
   }
+  dirty_.clear();
 }
 
 FlatEngine::Slot FlatEngine::choose_slot() {

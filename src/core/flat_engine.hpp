@@ -30,19 +30,9 @@
 //    virtual dispatch), the only guard evaluator of this engine: the
 //    per-step dirty path diffs one process's mask, block sweeps pack 64
 //    masks into five words;
-//  * full rebuilds (the initial build, invalidate_all, reset_ages) shard
-//    across a util::TrialPool in 64-process blocks. 5 actions x 64
-//    processes = 320 slots = exactly five 64-bit words, so shards write
-//    disjoint words and the rebuilt state is bit-identical for any jobs
-//    count (the PR 2/PR 5 determinism contract);
-//  * wide dirty sets (a high-degree step dirties its whole neighborhood)
-//    take the same block-sweep path during stepping: dirty blocks shard
-//    across `step_jobs` workers into per-block scratch words, then a
-//    serial block-ascending fold diffs them into the summaries and age
-//    list. Newly enabled slots all carry the same stamp and the list is
-//    (stamp, slot)-ordered, so the fold — and therefore every trace — is
-//    byte-identical to the serial per-process path for any step_jobs
-//    (DESIGN.md §11 gives the argument).
+//  * full rebuilds (the initial build, invalidate_all, reset_ages) are one
+//    serial pass over 64-process blocks (5 actions x 64 processes = 320
+//    slots = exactly five 64-bit words).
 //
 // The daemons are implemented natively against these structures rather than
 // through the sim::Daemon candidate-span interface; each reproduces its
@@ -63,27 +53,16 @@ namespace diners::core {
 class FlatEngine final : public sim::EngineBase {
  public:
   /// Borrows `system`. `daemon` / `daemon_seed` mirror
-  /// sim::make_daemon(name, seed); `fairness_bound` as in sim::Engine;
-  /// `rebuild_jobs` shards full enabled-set rebuilds and `step_jobs`
-  /// shards wide in-step dirty refreshes (1 = serial; results are
-  /// byte-identical at every value of either). Throws
-  /// std::invalid_argument on an unknown daemon name, a zero fairness
-  /// bound, or zero jobs.
+  /// sim::make_daemon(name, seed); `fairness_bound` as in sim::Engine.
+  /// Throws std::invalid_argument on an unknown daemon name or a zero
+  /// fairness bound.
   FlatEngine(DinersSystem& system, const std::string& daemon,
-             std::uint64_t daemon_seed, std::uint64_t fairness_bound = 4096,
-             unsigned rebuild_jobs = 1, unsigned step_jobs = 1);
+             std::uint64_t daemon_seed, std::uint64_t fairness_bound = 4096);
 
   std::optional<sim::StepRecord> step() override;
   [[nodiscard]] std::size_t enabled_count() const override;
   void invalidate_all() override;
   void reset_ages() override;
-
-  [[nodiscard]] DinersSystem& system() noexcept { return system_; }
-  [[nodiscard]] const std::string& daemon_name() const noexcept {
-    return daemon_name_;
-  }
-  [[nodiscard]] unsigned rebuild_jobs() const noexcept { return rebuild_jobs_; }
-  [[nodiscard]] unsigned step_jobs() const noexcept { return step_jobs_; }
 
  private:
   using Slot = std::uint32_t;
@@ -107,15 +86,7 @@ class FlatEngine final : public sim::EngineBase {
   /// The five slot-major enabled words of a 64-process block, packed from
   /// per-process guard_mask() (dead processes masked out).
   void sweep_block_words(std::uint32_t block, std::uint64_t* out) const;
-  /// Block-sharded refresh of the dirty set (the wide in-step path).
-  void wide_refresh() const;
-  /// Replaces enabled word w, folding the diff into summaries, Fenwick,
-  /// total, stamps, and the age list (newly enabled slots stamp steps_).
-  void apply_word_diff(std::uint32_t w, std::uint64_t neww) const;
 
-  [[nodiscard]] bool test(Slot s) const {
-    return (enabled_[s >> 6] >> (s & 63)) & 1u;
-  }
   void set_bit(Slot s) const;
   void clear_bit(Slot s) const;
 
@@ -142,12 +113,9 @@ class FlatEngine final : public sim::EngineBase {
   [[nodiscard]] Slot choose_slot();
 
   DinersSystem& system_;
-  std::string daemon_name_;
   DaemonKind kind_;
   util::Xoshiro256 rng_;  ///< consumed only by the random daemon's choices
   std::uint64_t fairness_bound_;
-  unsigned rebuild_jobs_;
-  unsigned step_jobs_;
   bool track_select_;  ///< Fenwick maintained? only the random daemon ranks
 
   sim::ProcessId n_ = 0;
@@ -170,8 +138,6 @@ class FlatEngine final : public sim::EngineBase {
 
   mutable std::vector<sim::ProcessId> dirty_;
   mutable Refresh pending_ = Refresh::kZeroAges;  ///< first build deferred
-  mutable std::vector<std::uint32_t> dirty_blocks_;   ///< wide-refresh scratch
-  mutable std::vector<std::uint64_t> block_words_;    ///< wide-refresh scratch
 
   Slot rr_cursor_ = kNull;  ///< round-robin: last chosen slot
 };

@@ -237,30 +237,6 @@ std::uint64_t Explorer::expand_fast(const Key& k, std::uint32_t self,
   return mask;
 }
 
-std::uint64_t Explorer::expand_legacy(core::DinersSystem& sys,
-                                      sim::Program& prog, const Key& k,
-                                      std::uint32_t self,
-                                      std::vector<Cand>& out) const {
-  const auto n = static_cast<sim::ProcessId>(sys.topology().num_nodes());
-  codec_.decode(k, sys);
-  std::uint64_t mask = 0;
-  for (sim::ProcessId p = 0; p < n; ++p) {
-    if (!sys.alive(p)) continue;
-    for (sim::ActionIndex a = 0; a < core::DinersSystem::kNumActions; ++a) {
-      if (prog.enabled(p, a)) {
-        mask |= std::uint64_t{1} << protocol_move(p, a);
-      }
-    }
-  }
-  for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-    const auto move = static_cast<std::uint16_t>(std::countr_zero(bits));
-    codec_.decode(k, sys);  // reset after the previous execute
-    prog.execute(move_process(move), move_action(move));
-    out.push_back({codec_.encode(sys), self, move});
-  }
-  return mask;
-}
-
 StateGraph Explorer::explore(std::span<const Key> seeds) {
   const auto n = static_cast<sim::ProcessId>(procs_.size() - 1);
   // Refresh the environment inputs: crashes and needs changes happen
@@ -270,9 +246,9 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
     procs_[p].alive = scratch_.alive(p) ? 1 : 0;
   }
 
-  // Key patches leave untouched fields verbatim, while the legacy encode
-  // round-trip would clamp an out-of-box depth field — so demand canonical
-  // seeds and keep the two paths byte-identical. The same pass decides
+  // Key patches leave untouched fields verbatim, while a decode / execute /
+  // encode round-trip would clamp an out-of-box depth field — so demand
+  // canonical seeds, on which the two agree. The same pass decides
   // whether the seeds are exactly the depth box: box_size_ keys, strictly
   // ascending, each inside the box (state fields < 3, depth fields in
   // range, no bit at or above codec.bits()). By pigeonhole such a span is
@@ -388,19 +364,6 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
   std::vector<std::uint64_t> cand_begin;
   std::vector<std::size_t> woff(jobs + 1);
 
-  // The legacy generator mutates a whole system per successor; give each
-  // worker its own clone. (reserve before emplace: MutatedDiners borrows.)
-  std::vector<core::DinersSystem> legacy_sys;
-  std::vector<MutatedDiners> legacy_prog;
-  if (options_.legacy_successors) {
-    legacy_sys.reserve(jobs);
-    legacy_prog.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) {
-      legacy_sys.push_back(core::clone(scratch_));
-      legacy_prog.emplace_back(legacy_sys.back(), options_.mutation);
-    }
-  }
-
   // The ample rule's invisibility test evaluates the invariant on decoded
   // states; give each worker a scratch system for it.
   std::vector<core::DinersSystem> por_sys;
@@ -504,10 +467,7 @@ StateGraph Explorer::explore(std::span<const Key> seeds) {
       for (std::uint32_t i = lo; i < hi; ++i) {
         const Key k = g.keys[i];
         const std::size_t before = buf.size();
-        g.enabled[i] =
-            options_.legacy_successors
-                ? expand_legacy(legacy_sys[w], legacy_prog[w], k, i, buf)
-                : expand_fast(k, i, buf);
+        g.enabled[i] = expand_fast(k, i, buf);
         auto nprot = static_cast<std::uint32_t>(buf.size() - before);
         if (por_on && nprot > 1) {
           // Ample rule: if some process p's only enabled action is

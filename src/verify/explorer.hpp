@@ -38,9 +38,9 @@
 // Successor generation never round-trips through codec.decode/execute/
 // encode on the hot path: each action's effect is applied as a bit-field
 // patch directly on the packed key, and the enabled mask is computed by a
-// single sweep over the key's incident-edge fields. The original
-// decode/execute/encode path is kept behind Options::legacy_successors
-// (test-only) and is pinned byte-identical by tests/verify/explorer tests.
+// single sweep over the key's incident-edge fields. tests/verify/
+// explorer_test.cpp checks every expanded state against the decode /
+// execute / encode round-trip through the reference program.
 // Reductions (Options::reduce_sym / reduce_por). With reduce_sym the graph
 // is the quotient under the stabilizer of the environment inputs inside the
 // topology's automorphism group: every candidate key is canonicalized to
@@ -185,11 +185,6 @@ class Explorer {
     /// (|G| the quotient group's order): by orbit-stabilizer a set of that
     /// many states has at least that many orbits. They grow on demand.
     std::uint64_t expected_states = 0;
-    /// Test-only: generate successors through the original
-    /// codec.decode / program.execute / codec.encode round-trip instead of
-    /// key patching. Byte-identical output, roughly 2x slower end to end
-    /// (pinned by Explorer.LegacySuccessorPathIsByteIdentical).
-    bool legacy_successors = false;
     /// Demonic malicious-crash victim (see file comment). The victim must
     /// already be dead in the scratch system.
     std::optional<sim::ProcessId> demon_victim;
@@ -254,9 +249,6 @@ class Explorer {
   /// in canonical move order and returns the enabled mask.
   std::uint64_t expand_fast(const Key& k, std::uint32_t self,
                             std::vector<Cand>& out) const;
-  std::uint64_t expand_legacy(core::DinersSystem& sys, sim::Program& prog,
-                              const Key& k, std::uint32_t self,
-                              std::vector<Cand>& out) const;
 
   core::DinersSystem& scratch_;
   const StateCodec& codec_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 namespace diners::verify {
 
@@ -174,12 +173,6 @@ void KeyIndex::update(const Key& k, std::uint32_t value) noexcept {
       return;
     }
   }
-}
-
-std::uint32_t KeyIndex::at(const Key& k) const {
-  const std::uint32_t v = find(k);
-  if (v == kAbsent) throw std::out_of_range("KeyIndex::at: key not present");
-  return v;
 }
 
 }  // namespace diners::verify

@@ -120,9 +120,6 @@ class KeyIndex {
   /// Overwrites the value of an existing key. Precondition: k is present.
   void update(const Key& k, std::uint32_t value) noexcept;
 
-  /// The value mapped to `k`; throws std::out_of_range if absent.
-  [[nodiscard]] std::uint32_t at(const Key& k) const;
-
  private:
   struct Slot {
     Key key;

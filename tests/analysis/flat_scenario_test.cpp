@@ -1,10 +1,9 @@
 // Scenario-level equivalence of the flat substrate: run_scenario_batch with
 // engine_kind = kFlat must produce aggregates bit-identical to the object
-// engine's, and — per the determinism contract — bit-identical across every
-// combination of batch `jobs`, flat-engine `rebuild_jobs`, and `step_jobs`.
-// These tests run in the TSan CI job (name-matched via 'FlatEngine'), so
-// the sharded parallel rebuild and wide refresh are also exercised under
-// the race detector.
+// engine's, and — per the determinism contract — bit-identical for every
+// batch `jobs` value. These tests run in the TSan CI job (name-matched via
+// 'ScenarioBatch'), so flat-engine trials on concurrent batch workers are
+// also exercised under the race detector.
 #include <gtest/gtest.h>
 
 #include "analysis/batch_runner.hpp"
@@ -73,24 +72,19 @@ TEST(FlatEngineScenarioBatch, EngineJobsAreAggregateInvariant) {
   batch.trials = 12;
   batch.master_seed = 5;
 
-  scenario.rebuild_jobs = 1;
-  scenario.step_jobs = 1;
   batch.jobs = 1;
   const BatchResult serial = run_scenario_batch(scenario, batch);
-  for (const unsigned jobs : {4u, 8u}) {
-    scenario.rebuild_jobs = jobs;
-    scenario.step_jobs = jobs;
-    batch.jobs = 4;
-    const BatchResult sharded = run_scenario_batch(scenario, batch);
-    expect_same_aggregate(serial, sharded,
-                          "rebuild/step jobs " + std::to_string(jobs));
+  for (const unsigned jobs : {2u, 4u}) {
+    batch.jobs = jobs;
+    const BatchResult parallel = run_scenario_batch(scenario, batch);
+    expect_same_aggregate(serial, parallel,
+                          "batch jobs " + std::to_string(jobs));
   }
 }
 
 TEST(FlatEngineScenarioBatch, StarStepJobsAreAggregateInvariant) {
-  // A star's center step dirties all n processes, so every post-step
-  // refresh takes the block-sharded wide path when step_jobs > 1. The
-  // aggregates must not notice.
+  // Each exit by a star's center dirties every leaf. The flat engine's
+  // aggregates must match the object engine's at every batch jobs value.
   ScenarioOptions scenario;
   scenario.topology = "star";
   scenario.n = 300;
@@ -99,27 +93,28 @@ TEST(FlatEngineScenarioBatch, StarStepJobsAreAggregateInvariant) {
   scenario.crashes = {fault::CrashEvent{400, 0, 8}};
   scenario.max_steps = 20000;
   scenario.check_every = 64;
-  scenario.engine_kind = sim::EngineKind::kFlat;
 
   BatchOptions batch;
   batch.trials = 6;
   batch.jobs = 2;
   batch.master_seed = 17;
 
-  scenario.step_jobs = 1;
-  const BatchResult serial = run_scenario_batch(scenario, batch);
-  EXPECT_GT(serial.converged, 0u);
-  for (const unsigned step_jobs : {2u, 4u}) {
-    scenario.step_jobs = step_jobs;
-    const BatchResult sharded = run_scenario_batch(scenario, batch);
-    expect_same_aggregate(serial, sharded,
-                          "star step_jobs " + std::to_string(step_jobs));
+  scenario.engine_kind = sim::EngineKind::kObject;
+  const BatchResult object = run_scenario_batch(scenario, batch);
+  EXPECT_GT(object.converged, 0u);
+  scenario.engine_kind = sim::EngineKind::kFlat;
+  for (const unsigned jobs : {1u, 4u}) {
+    batch.jobs = jobs;
+    const BatchResult flat = run_scenario_batch(scenario, batch);
+    expect_same_aggregate(object, flat,
+                          "star flat vs object, batch jobs " +
+                              std::to_string(jobs));
   }
 }
 
 TEST(FlatEngineScenarioBatch, TenThousandProcessRunIsJobsInvariant) {
-  // The acceptance-scale check: one corrupted n=10k ring trial per jobs
-  // setting, aggregates bit-identical for rebuild shard counts 1/4/8.
+  // The acceptance-scale check: corrupted n=10k ring trials, aggregates
+  // bit-identical for batch jobs 1 and 2.
   ScenarioOptions scenario;
   scenario.topology = "ring";
   scenario.n = 10000;
@@ -133,19 +128,14 @@ TEST(FlatEngineScenarioBatch, TenThousandProcessRunIsJobsInvariant) {
 
   BatchOptions batch;
   batch.trials = 2;
-  batch.jobs = 2;
   batch.master_seed = 3;
 
-  scenario.rebuild_jobs = 1;
+  batch.jobs = 1;
   const BatchResult serial = run_scenario_batch(scenario, batch);
   EXPECT_EQ(serial.converged, serial.trials);
-  for (const unsigned jobs : {4u, 8u}) {
-    scenario.rebuild_jobs = jobs;
-    scenario.step_jobs = jobs;
-    const BatchResult sharded = run_scenario_batch(scenario, batch);
-    expect_same_aggregate(serial, sharded,
-                          "n=10k rebuild/step jobs " + std::to_string(jobs));
-  }
+  batch.jobs = 2;
+  const BatchResult parallel = run_scenario_batch(scenario, batch);
+  expect_same_aggregate(serial, parallel, "n=10k batch jobs 2");
 }
 
 }  // namespace

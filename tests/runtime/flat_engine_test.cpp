@@ -46,19 +46,18 @@ struct FaultSchedule {
 /// engine kind and returns the serialized trace. Everything (graph, daemon
 /// seed, rng streams, fault schedule) is reconstructed identically per call
 /// so both engines see the same inputs.
-/// `forced`, when given, receives the engine's forced_steps().
+/// `forced` receives the engine's forced_steps().
 std::vector<std::string> run_diners(const graph::Graph& g,
                                     const std::string& daemon,
                                     const FaultSchedule& faults,
                                     std::uint64_t steps, sim::EngineKind kind,
-                                    unsigned rebuild_jobs = 1,
-                                    std::uint64_t* forced = nullptr) {
+                                    std::uint64_t* forced) {
   DinersSystem system(g);
   if (faults.start) faults.start(system);
   std::unique_ptr<sim::EngineBase> engine;
   if (kind == sim::EngineKind::kFlat) {
     engine = std::make_unique<FlatEngine>(system, daemon, /*daemon_seed=*/7,
-                                          /*fairness_bound=*/64, rebuild_jobs);
+                                          /*fairness_bound=*/64);
   } else {
     engine = std::make_unique<sim::Engine>(
         system, sim::make_daemon(daemon, /*seed=*/7), /*fairness_bound=*/64);
@@ -97,7 +96,7 @@ std::vector<std::string> run_diners(const graph::Graph& g,
     }
     if (!engine->step()) break;
   }
-  if (forced != nullptr) *forced = engine->forced_steps();
+  *forced = engine->forced_steps();
   return trace;
 }
 
@@ -110,9 +109,9 @@ void expect_identical_traces(const graph::Graph& g, const std::string& daemon,
   std::uint64_t object_forced = 0;
   std::uint64_t flat_forced = 0;
   const auto object = run_diners(g, daemon, faults, steps,
-                                 sim::EngineKind::kObject, 1, &object_forced);
-  const auto flat = run_diners(g, daemon, faults, steps,
-                               sim::EngineKind::kFlat, 1, &flat_forced);
+                                 sim::EngineKind::kObject, &object_forced);
+  const auto flat =
+      run_diners(g, daemon, faults, steps, sim::EngineKind::kFlat, &flat_forced);
   ASSERT_EQ(object.size(), flat.size()) << "daemon: " << daemon;
   for (std::size_t i = 0; i < flat.size(); ++i) {
     ASSERT_EQ(object[i], flat[i])
@@ -272,25 +271,42 @@ TEST(FlatEngineDifferential, BiasedDaemonForcesTheSameSteps) {
   EXPECT_GT(forced, 0u);
 }
 
-// --- sharded rebuild is trace-invariant ------------------------------------
+// --- dense dirty sets ------------------------------------------------------
 
-TEST(FlatEngineDifferential, RebuildJobsDoNotChangeTraces) {
-  // Corruption plus crashes force repeated full rebuilds; the sharded
-  // parallel rebuild must produce the same enabled-set — and therefore the
-  // same trace — at every worker count.
-  const auto g = graph::make_connected_gnp(20, 0.2, /*seed=*/13);
+TEST(FlatEngineDifferential, StarDenseDirtySetsMatchObjectEngine) {
+  // Each exit by the center dirties all 299 leaves, a dirty set spanning
+  // five 64-process blocks.
+  const auto g = graph::make_star(300);
   FaultSchedule faults;
-  faults.crashes = {fault::CrashEvent{250, 2, 24}};
-  faults.corrupt_at = 600;
+  faults.crashes = {fault::CrashEvent{400, 0, 16}};  // kill the center
+  faults.corrupt_at = 900;
+  faults.restart_at = 1600;
   for (const auto* daemon : kDaemons) {
-    const auto serial =
-        run_diners(g, daemon, faults, 3000, sim::EngineKind::kFlat, 1);
-    for (const unsigned jobs : {2u, 4u, 8u}) {
-      const auto sharded =
-          run_diners(g, daemon, faults, 3000, sim::EngineKind::kFlat, jobs);
-      ASSERT_EQ(serial, sharded)
-          << "daemon: " << daemon << ", rebuild jobs: " << jobs;
-    }
+    expect_identical_traces(g, daemon, faults, 2500);
+  }
+}
+
+TEST(FlatEngineDifferential, RingOneProcessTailBlockMatchesObjectEngine) {
+  // n = 65: the rebuilds' second block holds one process, whose slots
+  // 320..324 are the only slots of word 5.
+  const auto g = graph::make_ring(65);
+  FaultSchedule faults;
+  faults.crashes = {fault::CrashEvent{300, 64, 24}};
+  faults.corrupt_at = 700;
+  for (const auto* daemon : kDaemons) {
+    expect_identical_traces(g, daemon, faults, 2500);
+  }
+}
+
+TEST(FlatEngineDifferential, SmallGnpPartialBlockMatchesObjectEngine) {
+  // n < 64: every rebuild sweeps a single partial block.
+  const auto g = graph::make_connected_gnp(61, 0.1, /*seed=*/9);
+  FaultSchedule faults;
+  faults.crashes = {fault::CrashEvent{250, 7, 12}};
+  faults.corrupt_at = 600;
+  faults.restart_at = 1200;
+  for (const auto* daemon : kDaemons) {
+    expect_identical_traces(g, daemon, faults, 2500);
   }
 }
 
@@ -340,8 +356,6 @@ TEST(FlatEngine, RejectsBadConstructorArguments) {
   EXPECT_THROW(FlatEngine(system, "no-such-daemon", 1, 64),
                std::invalid_argument);
   EXPECT_THROW(FlatEngine(system, "round-robin", 1, /*fairness_bound=*/0),
-               std::invalid_argument);
-  EXPECT_THROW(FlatEngine(system, "round-robin", 1, 64, /*rebuild_jobs=*/0),
                std::invalid_argument);
 }
 

@@ -56,26 +56,6 @@ namespace verify = diners::verify;
 constexpr int kCounterexample = 1;
 constexpr int kInconclusive = 3;
 
-/// The --topology graph. An unknown family, or a size the family cannot
-/// take, is malformed input.
-diners::graph::Graph build_topology(const std::string& kind, NodeId n,
-                                    std::uint64_t seed) {
-  namespace graph = diners::graph;
-  try {
-    if (kind == "ring") return graph::make_ring(n);
-    if (kind == "line" || kind == "path") return graph::make_path(n);
-    if (kind == "star") return graph::make_star(n);
-    if (kind == "complete" || kind == "k4") {
-      return graph::make_complete(kind == "k4" ? 4 : n);
-    }
-    if (kind == "tree") return graph::make_random_tree(n, seed);
-    if (kind == "figure2") return graph::make_figure2_topology();
-  } catch (const std::invalid_argument& err) {
-    throw UsageError(err.what());
-  }
-  throw UsageError("unknown topology: " + kind);
-}
-
 /// Seconds elapsed since `t0`, formatted.
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -362,7 +342,15 @@ int run(const diners::util::Flags& flags) {
   const NodeId n = flags.u32("n", 1, diners::graph::kNoNode - 1);
   const std::uint64_t seed = flags.u64("seed");
   const std::string topo = flags.str("topology");
-  auto g = build_topology(topo, n, seed);
+
+  // An unknown family, or a size the family cannot take, is malformed input.
+  auto g = [&] {
+    try {
+      return diners::graph::make_named(topo, n, seed);
+    } catch (const std::invalid_argument& err) {
+      throw UsageError(err.what());
+    }
+  }();
 
   verify::GuardMutation mutation = verify::GuardMutation::kNone;
   DinersConfig cfg;
@@ -418,9 +406,10 @@ int run(const diners::util::Flags& flags) {
 
 int main(int argc, char** argv) {
   diners::util::Flags flags;
-  flags.define("topology", "ring", "ring|line|path|star|complete|k4|tree|figure2")
+  flags.define("topology", "ring",
+               "ring|path|star|complete|grid|torus|tree|wheel|barbell|gnp|figure2")
       .define("n", "4", "system size")
-      .define("seed", "1", "rng seed (random mode, tree topology)")
+      .define("seed", "1", "rng seed (random mode, seeded topologies)")
       .define("threshold", "paper",
               "cycle threshold: paper (=diameter) | sound (=n-1) | <int>")
       .define("exhaustive", "false", "enumerate the reachable state space")

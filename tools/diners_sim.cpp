@@ -103,8 +103,6 @@ int run_diners(const diners::util::Flags& flags) {
   options.daemon = flags.str("daemon");
   options.seed = seed;
   options.engine_kind = parse_engine(flags.str("engine"));
-  options.rebuild_jobs = flags.u32("rebuild-jobs", 1);
-  options.step_jobs = flags.u32("step-jobs", 1);
   std::unique_ptr<diners::fault::Workload> workload;
   if (flags.str("workload") != "none") {
     workload = diners::fault::make_workload(flags.str("workload"), seed);
@@ -182,8 +180,6 @@ int run_batch_mode(const diners::util::Flags& flags) {
   scenario.window_steps = flags.u64("window");
   scenario.check_every = flags.u64("check-every", 1);
   scenario.engine_kind = parse_engine(flags.str("engine"));
-  scenario.rebuild_jobs = flags.u32("rebuild-jobs", 1);
-  scenario.step_jobs = flags.u32("step-jobs", 1);
 
   // Validate user input against a probe topology (seeded families resample
   // per trial, but the node count is seed-independent for every family).
@@ -268,8 +264,6 @@ int run_batch_mode(const diners::util::Flags& flags) {
         .field("max_steps", scenario.max_steps)
         .field("window_steps", scenario.window_steps)
         .field("check_every", scenario.check_every)
-        .field("rebuild_jobs", scenario.rebuild_jobs)
-        .field("step_jobs", scenario.step_jobs)
         .field("seed", seed)
         .end_object();
     const auto stats_object = [&w](std::string_view name,
@@ -417,12 +411,6 @@ int main(int argc, char** argv) {
       .define("window", "0", "sweep starvation window steps (0 = none)")
       .define("engine", "object",
               "engine implementation: object | flat (SoA substrate)")
-      .define("rebuild-jobs", "1",
-              "flat-engine full-rebuild shards (results identical at any "
-              "value)")
-      .define("step-jobs", "1",
-              "flat-engine wide in-step refresh shards (results identical "
-              "at any value)")
       .define("json", "",
               "sweep mode: also write a diners-sim-batch/v1 JSON report "
               "to this path")
